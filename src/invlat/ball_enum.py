@@ -4,11 +4,26 @@ Shells of the cross-polytope are walked in lexicographic order, either over
 all orthants or restricted to the nonnegative orthant.  Every search in the
 degree-bound machinery consumes points in exactly this order, which is what
 pins down witness tie-breaking.
+
+The searches walk lattice members directly: lattice_shell_points yields the
+members of L on a shell in the same shell-then-lex order, carrying the
+Hermite reduction of each coordinate prefix down the recursion, so
+non-members are never visited.  shell_points followed by `v in L` stays as
+the slow reference it must agree with.
 """
 
 from __future__ import annotations
 
+from math import gcd
+
 MODES = ("all", "nonnegative")
+
+
+def _check_shell_args(dimension, radius, mode):
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    if dimension < 1 or radius < 0:
+        raise ValueError("need dimension >= 1 and radius >= 0")
 
 
 def shell_points(dimension, radius, mode="all"):
@@ -17,10 +32,7 @@ def shell_points(dimension, radius, mode="all"):
     shell_points(2, 1) gives (-1, 0), (0, -1), (0, 1), (1, 0); in mode
     "nonnegative" the same shell is (0, 1), (1, 0).
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    if dimension < 1 or radius < 0:
-        raise ValueError("need dimension >= 1 and radius >= 0")
+    _check_shell_args(dimension, radius, mode)
     nonneg = mode == "nonnegative"
 
     def rec(prefix, dims_left, budget):
@@ -46,9 +58,84 @@ def points_up_to(dimension, radius, mode="all"):
         yield from shell_points(dimension, d, mode)
 
 
+def lattice_shell_points(L, radius, mode="all"):
+    """Yield the members of L with l1norm == radius, lexicographically ascending.
+
+    Exactly [v for v in shell_points(L.dimension, radius, mode) if v in L],
+    without visiting the non-members.  L.columns is lower triangular, so the
+    Hermite residue of coordinate i depends only on v[0..i]: coordinate i
+    must be congruent to the carried reduction of the prefix modulo the
+    pivot d_i, and each admissible value of it extends the carry by one
+    column.  On the last two coordinates, |x| + |y| = b plus both
+    divisibility conditions leave at most four arithmetic progressions in x
+    (sign of x times sign of y), each solved with one modular inverse.
+    """
+    m = L.dimension
+    _check_shell_args(m, radius, mode)
+    cols = L.columns
+    nonneg = mode == "nonnegative"
+    if m == 1:
+        d = cols[0][0]
+        if radius % d == 0:
+            if radius == 0 or nonneg:
+                yield (radius,)
+            else:
+                yield (-radius,)
+                yield (radius,)
+        return
+
+    # Last two coordinates x, y with carries cx, cy: x = cx + D t for an
+    # integer t, then y - cy - a t must vanish mod E.  Writing
+    # y = sy * (b - sx * x) turns that into alpha t = beta (mod E) with
+    # alpha = sx * sy * D + a, where only beta depends on the prefix.
+    D, a, E = cols[m - 2][m - 2], cols[m - 2][m - 1], cols[m - 1][m - 1]
+    signs = ((1, 1),) if nonneg else ((-1, -1), (-1, 1), (1, -1), (1, 1))
+    progressions = []
+    for sx, sy in signs:
+        alpha = sx * sy * D + a
+        g = gcd(alpha, E)
+        period = E // g
+        inverse = pow(alpha // g, -1, period)
+        progressions.append((sx, sy, g, period, inverse, D * period))
+
+    def last_two(prefix, b, cx, cy):
+        hits = []
+        for sx, sy, g, period, inverse, step in progressions:
+            beta = sy * b - sx * sy * cx - cy
+            if beta % g:
+                continue
+            x0 = cx + D * (beta // g * inverse % period)
+            # x ranges over [-b, -1] or [0, b]; y = 0 only on the y > 0 pass
+            lo, hi = (-b, -1) if sx < 0 else (0, b)
+            if sy < 0:
+                lo, hi = (lo + 1, hi) if sx < 0 else (lo, hi - 1)
+            for x in range(lo + (x0 - lo) % step, hi + 1, step):
+                hits.append((x, sy * (b - sx * x)))
+        hits.sort()
+        for x, y in hits:
+            yield prefix + (x, y)
+
+    def rec(prefix, i, budget, carry):
+        if i == m - 2:
+            yield from last_two(prefix, budget, carry[0], carry[1])
+            return
+        col = cols[i]
+        d = col[i]
+        lo = 0 if nonneg else -budget
+        start = lo + (carry[0] - lo) % d
+        q = (start - carry[0]) // d
+        tail = col[i + 1:]
+        nxt = [c + q * t for c, t in zip(carry[1:], tail)]
+        for first in range(start, budget + 1, d):
+            yield from rec(prefix + (first,), i + 1, budget - abs(first), nxt)
+            nxt = [c + t for c, t in zip(nxt, tail)]
+
+    yield from rec((), 0, radius, [0] * m)
+
+
 def lattice_points_up_to(L, radius, mode="all"):
     """Members of L with l1norm <= radius, ordered by shell then lex."""
-    return [v for v in points_up_to(L.dimension, radius, mode) if v in L]
+    return [v for d in range(radius + 1) for v in lattice_shell_points(L, d, mode)]
 
 
 def shell_count(dimension, radius, mode="all"):

@@ -166,7 +166,7 @@ def cmd_minima(args, out):
     system = load_system(args)
     L = from_congruences(system)
     sm = geomnum.successive_minima(L, cap=args.cap)
-    mk = geomnum.minkowski_check(L)
+    mk = geomnum.minkowski_check(L, sm)
     if args.format == "json":
         payload = {
             "input": system.to_jsonable(),

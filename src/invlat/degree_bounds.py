@@ -9,7 +9,9 @@ Three quantities, each found by exhaustive shell search with proven caps:
 * bfieldr(L): the same with members from all orthants.  At most bfield(L).
 
 Values are exact, not bounds; witnesses are deterministic, the first hit in
-shell-then-lexicographic order.
+shell-then-lexicographic order.  bfield and bfieldr walk the lattice members
+of each shell directly (ball_enum.lattice_shell_points), in that same order;
+dspan walks every nonnegative point, since each one keys a coset.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .ball_enum import shell_points
+from .ball_enum import lattice_shell_points, shell_points
 from .lattice_core import GeneratedLattice
 
 
@@ -91,8 +93,8 @@ def _generation_search(L, mode, which, cap):
     acc = GeneratedLattice(L.dimension)
     witnesses = []
     for d in range(cap + 1):
-        for v in shell_points(L.dimension, d, mode):
-            if v in L and v not in acc:
+        for v in lattice_shell_points(L, d, mode):
+            if v not in acc:
                 acc.add(v)
                 witnesses.append(v)
         if acc.rank == L.dimension and acc.index == L.index:

@@ -1,9 +1,10 @@
 """Geometry of numbers for L1 balls against a full-rank lattice.
 
-Successive minima by exhaustive shell search, the Minkowski product test,
-short bases refined from minima witnesses, and the completion of m - 1 short
-independent vectors to a genuine basis via the determinant linear form.  The
-rational steps (coordinates across a hyperplane, root enclosures) all run on
+Successive minima by exhaustive search over the lattice members of each
+shell, the Minkowski product test, short bases refined from minima
+witnesses, and the completion of m - 1 short independent vectors to a
+genuine basis via the determinant linear form.  The rational steps
+(coordinates across a hyperplane, root enclosures) all run on
 fractions.Fraction; nothing is floating point.
 """
 
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ball_enum import shell_points
+from .ball_enum import lattice_shell_points
 from .degree_bounds import CapExceededError
 from .lattice_core import det_int, integer_kernel, is_generating, l1norm, xgcd
 
@@ -28,25 +29,31 @@ class NoSolutionError(ValueError):
 
 
 class _RankTracker:
-    """Incremental rank of a growing set of integer vectors, exact over Q."""
+    """Incremental rank of a growing set of integer vectors, exact over Q.
+
+    Fraction-free elimination: a vector is cleared at each pivot by
+    v <- (p / g) v - (c / g) row, with p the row's pivot, c = v[j] and
+    g = gcd(p, c).  That is a nonzero multiple of the rational step, so the
+    pivots, and with them the rank, are those of elimination over Q.
+    """
 
     def __init__(self, dimension):
         self.dimension = dimension
         self._rows = {}
 
     def try_add(self, vec):
-        v = [Fraction(t) for t in vec]
+        v = list(vec)
         for j in range(self.dimension):
             if not v[j]:
                 continue
             row = self._rows.get(j)
             if row is None:
-                inv = 1 / v[j]
-                self._rows[j] = [t * inv for t in v]
+                self._rows[j] = v
                 return True
-            coef = v[j]
+            g = math.gcd(row[j], v[j])
+            p, c = row[j] // g, v[j] // g
             for k in range(j, self.dimension):
-                v[k] -= coef * row[k]
+                v[k] = p * v[k] - c * row[k]
         return False
 
     @property
@@ -65,10 +72,10 @@ class SuccessiveMinima:
 def successive_minima(L, cap=None) -> SuccessiveMinima:
     """Exact successive minima of the L1 ball against L.
 
-    Shells are scanned outward; any member that enlarges the span of the
-    vectors collected so far is kept, so the shell radius at the i-th
-    collection is exactly the i-th minimum.  index * e_i always lies in L,
-    which makes index a safe default cap.
+    The lattice members of each shell are walked outward in lex order; any
+    member that enlarges the span of the vectors collected so far is kept,
+    so the shell radius at the i-th collection is exactly the i-th minimum.
+    index * e_i always lies in L, which makes index a safe default cap.
     """
     m = L.dimension
     if cap is None:
@@ -77,9 +84,7 @@ def successive_minima(L, cap=None) -> SuccessiveMinima:
     values = []
     witnesses = []
     for d in range(1, cap + 1):
-        for v in shell_points(m, d, "all"):
-            if v not in L:
-                continue
+        for v in lattice_shell_points(L, d, "all"):
             if tracker.try_add(v):
                 values.append(d)
                 witnesses.append(v)

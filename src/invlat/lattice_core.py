@@ -176,6 +176,11 @@ def integer_kernel(rows, ncols):
     return [tuple(tc) for mc, tc in cols]
 
 
+def _is_int(x):
+    """An int that is not a bool (JSON true/false must not pass as 1/0)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class CongruenceSystem:
     """A finite list of congruences sum_j A[i][j] * a_j = 0 (mod moduli[i]).
@@ -194,7 +199,7 @@ class CongruenceSystem:
             raise InvalidSystemError("moduli and coefficients must be tuples")
         if len(self.moduli) == 0:
             raise InvalidSystemError("at least one modulus is required")
-        if any(not isinstance(n, int) or n < 2 for n in self.moduli):
+        if any(not _is_int(n) or n < 2 for n in self.moduli):
             raise InvalidSystemError("moduli must be integers >= 2")
         if len(self.coefficients) != len(self.moduli):
             raise InvalidSystemError("one coefficient row per modulus")
@@ -205,7 +210,9 @@ class CongruenceSystem:
             if not isinstance(row, tuple) or len(row) != m:
                 raise InvalidSystemError("coefficient rows must be tuples of equal length")
             for a in row:
-                if not isinstance(a, int) or not 0 <= a < n_i:
+                if not _is_int(a):
+                    raise InvalidSystemError(f"coefficient {a!r} is not an integer")
+                if not 0 <= a < n_i:
                     raise InvalidSystemError(
                         f"coefficient {a!r} is not reduced into [0, {n_i})")
 

@@ -24,9 +24,15 @@ def resolve_jobs(flag=None):
     return jobs
 
 
+def worker_count(jobs, n_items, cpus):
+    """Processes worth starting: never more than the CPUs or the items."""
+    return max(1, min(jobs, cpus, n_items))
+
+
 def parallel_map(fn, items, jobs=1):
     items = list(items)
-    if jobs == 1 or len(items) <= 1:
+    jobs = worker_count(jobs, len(items), os.cpu_count() or 1)
+    if jobs == 1:
         return [fn(x) for x in items]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs))))

@@ -1,9 +1,17 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from invlat.ball_enum import lattice_points_up_to, points_up_to, shell_count, shell_points
+from invlat.ball_enum import (
+    lattice_points_up_to,
+    lattice_shell_points,
+    points_up_to,
+    shell_count,
+    shell_points,
+)
 from invlat.lattice_core import from_congruences, l1norm, CongruenceSystem
+from invlat.sampling import random_congruence_systems
 
 import oracles
 
@@ -51,3 +59,64 @@ def test_lattice_points_up_to():
     got = list(lattice_points_up_to(L, 6, "all"))
     assert got == [p for p in points_up_to(2, 6, "all") if p in L]
     assert (0, 0) in got and (1, 1) in got and (-5, 0) in got
+
+
+def assert_walker_matches_references(system, radius):
+    """lattice_shell_points against the filtered shell walk, shell by shell,
+    and against the congruence-only oracle over the whole ball."""
+    L = from_congruences(system)
+    for mode in ("all", "nonnegative"):
+        for d in range(radius + 1):
+            slow = [v for v in shell_points(L.dimension, d, mode) if v in L]
+            assert list(lattice_shell_points(L, d, mode)) == slow, (system, mode, d)
+        expected = sorted(oracles.members_up_to(system, radius, mode),
+                          key=lambda p: (l1norm(p), p))
+        assert lattice_points_up_to(L, radius, mode) == expected, (system, mode)
+
+
+def test_lattice_shell_points_radius_zero():
+    L = from_congruences(CongruenceSystem((7,), ((1, 3, 5),)))
+    for mode in ("all", "nonnegative"):
+        assert list(lattice_shell_points(L, 0, mode)) == [(0, 0, 0)]
+    with pytest.raises(ValueError):
+        list(lattice_shell_points(L, 1, "positive"))
+    with pytest.raises(ValueError):
+        list(lattice_shell_points(L, -1))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_lattice_shell_points_each_dimension(m):
+    for n in (2, 5, 12):
+        coeffs = tuple(range(1, m + 1))
+        system = CongruenceSystem((n,), (tuple(c % n for c in coeffs),))
+        assert_walker_matches_references(system, 7 if m < 5 else 5)
+
+
+def test_lattice_shell_points_composite_hermite_diagonal():
+    systems = random_congruence_systems(60, 11, m_choices=(2, 3, 4), n_max=36)
+    unusual = 0
+    for system in systems:
+        L = from_congruences(system)
+        diagonal = [L.columns[i][i] for i in range(L.dimension)]
+        unusual += diagonal[:-1] != [1] * (L.dimension - 1)
+        assert_walker_matches_references(system, 6)
+    assert unusual >= 5  # the sample must reach diagonals other than (1, .., 1, n)
+
+
+def test_lattice_shell_points_two_row_system():
+    system = CongruenceSystem((12, 10), ((1, 2, 3), (5, 0, 7)))
+    assert_walker_matches_references(system, 8)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_lattice_shell_points_property(data):
+    m = data.draw(st.integers(1, 4), label="m")
+    r = data.draw(st.integers(1, 2), label="rows")
+    moduli = tuple(data.draw(st.lists(st.integers(2, 15), min_size=r, max_size=r),
+                             label="moduli"))
+    rows = tuple(
+        tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m),
+                        label="row"))
+        for n in moduli)
+    assert_walker_matches_references(CongruenceSystem(moduli, rows), 5)

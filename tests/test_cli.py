@@ -2,14 +2,18 @@
 
 import io
 import json
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 import invlat
+from invlat import geomnum
 from invlat.cli import main, parse_construct, parse_range
+from invlat.parallel import worker_count
 from invlat.constructions import CounterexampleReport
 
 MOD4 = '{"moduli":[4],"coefficients":[[1,3]]}'
@@ -112,6 +116,14 @@ class TestBounds:
         assert run(["bounds", "--input", "/nonexistent/file.json"])[0] == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_json_booleans_rejected(self, capsys):
+        for bad in ('{"moduli":[5],"coefficients":[[true,4]]}',
+                    '{"moduli":[5],"coefficients":[[1,false]]}',
+                    '{"moduli":[true],"coefficients":[[0]]}'):
+            assert run(["bounds", "--congruence", bad])[0] == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err
+
     def test_cap_exceeded(self, capsys):
         code, _ = run(["bounds", "--congruence", MOD5, "--cap", "1",
                        "--which", "bfield"])
@@ -133,6 +145,21 @@ class TestMinima:
         assert text == ("i,lambda,witness,product,bound,minkowski_ok\n"
                         "1,2,-1 -1,10,10,True\n"
                         "2,5,-5 0,10,10,True\n")
+
+
+    def test_minima_computed_once(self, monkeypatch):
+        calls = []
+        real = geomnum.successive_minima
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(geomnum, "successive_minima", counting)
+        for fmt in ("json", "csv", "pretty"):
+            calls.clear()
+            assert run(["minima", "--congruence", MOD5, "--format", fmt])[0] == 0
+            assert len(calls) == 1
 
 
 class TestBasis:
@@ -301,11 +328,27 @@ class TestParallelism:
     def test_bad_jobs(self):
         assert run(["verify", "hrd", "--n", "1..4", "--jobs", "0"])[0] == 2
 
+    def test_worker_count_clamp(self):
+        assert worker_count(2, 40, 2) == 2
+        assert worker_count(64, 40, 2) == 2
+        assert worker_count(64, 3, 8) == 3
+        assert worker_count(4, 0, 8) == 1
+        assert worker_count(1, 40, 8) == 1
+
 
 class TestEntryPoint:
     def test_installed_script(self):
         proc = subprocess.run(
             ["invlat", "construct", "dihedral:n=3", "-f", "json"],
             capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout) == {"n": 3, "dspan": 3}
+
+    def test_module_entry_point(self):
+        src = str(Path(invlat.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "invlat", "construct", "dihedral:n=3", "-f", "json"],
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"n": 3, "dspan": 3}

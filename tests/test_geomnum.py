@@ -7,6 +7,7 @@ import pytest
 from invlat.degree_bounds import bfield
 from invlat.geomnum import (
     DependentInputError,
+    _RankTracker,
     complete_basis_short,
     determinant_form,
     dual_pair_lift,
@@ -60,6 +61,25 @@ class TestSuccessiveMinima:
             sm = successive_minima(from_congruences(system))
             assert list(sm.values) == oracles.oracle_minima(system)
             assert oracles.rank_of(sm.witnesses) == m
+
+    def test_rank_tracker_matches_rational_rank(self):
+        rng = random.Random(34)
+        for _ in range(200):
+            m = rng.randint(1, 5)
+            tracker = _RankTracker(m)
+            chosen = []
+            for _ in range(m + 3):
+                if chosen and rng.random() < 0.4:
+                    # an integer combination of earlier vectors: dependent
+                    v = tuple(sum(rng.randint(-3, 3) * w[k] for w in chosen)
+                              for k in range(m))
+                else:
+                    v = tuple(rng.randint(-6, 6) for _ in range(m))
+                grows = oracles.rank_of(chosen + [v]) > oracles.rank_of(chosen)
+                assert tracker.try_add(v) == grows
+                assert tracker.rank == oracles.rank_of(chosen + [v])
+                if grows:
+                    chosen.append(v)
 
     def test_no_smaller_independent_sets(self):
         # definitional check: below lambda_i there is no rank-i set
