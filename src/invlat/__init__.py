@@ -44,7 +44,6 @@ from .lattice_core import (
     GeneratedLattice,
     InvalidSystemError,
     LatticeBasis,
-    coset_label,
     detect_trivial_or_duplicate,
     drop_trivial_and_duplicates,
     from_congruences,

@@ -231,13 +231,12 @@ def cmd_basis(args, out):
             "bound": gd.bound,
             "within_bound": gd.within_bound,
         }
-        if gd.completion is not None:
-            payload["completion"] = {
-                "bstar": list(gd.completion.bstar),
-                "dstar": gd.completion.dstar,
-                "form": list(gd.completion.form.coefficients),
-                "dstar_at_least_index": gd.completion.dstar_at_least_index,
-            }
+        payload["completion"] = {
+            "bstar": list(gd.completion.bstar),
+            "dstar": gd.completion.dstar,
+            "form": list(gd.completion.form.coefficients),
+            "dstar_at_least_index": gd.completion.dstar_at_least_index,
+        }
         if lifted is not None:
             payload["lift"] = {
                 "pairs": [list(p) for p in pairs],
@@ -258,10 +257,9 @@ def cmd_basis(args, out):
             out.write(f"b_{i + 1} = {vec_str(v)}  norm {nrm}\n")
         out.write(f"max norm {gd.max_norm}, bound {gd.bound}, "
                   f"within {gd.within_bound}\n")
-        if gd.completion is not None:
-            c = gd.completion
-            out.write(f"completion b* = {vec_str(c.bstar)}, D* = {c.dstar}, "
-                      f"D = {vec_str(c.form.coefficients)}\n")
+        c = gd.completion
+        out.write(f"completion b* = {vec_str(c.bstar)}, D* = {c.dstar}, "
+                  f"D = {vec_str(c.form.coefficients)}\n")
         if lifted is not None:
             mx = max((l1norm(v) for v in lifted), default=0)
             pstr = " ".join(vec_str(p) for p in pairs)
@@ -435,9 +433,9 @@ def cmd_verify(args, out):
 def _scan_cell(cell):
     family, p, m, samples, seed, cap = cell
     rows = []
+    if m >= p:
+        return rows
     if family == "sharp":
-        if m >= p:
-            return rows
         systems = [constructions.sharp_case_lattice(constructions.SharpCaseSpec(p, m))]
     else:
         rng = random.Random(seed * 1000003 + p * 1009 + m)

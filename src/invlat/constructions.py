@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .ball_enum import shell_points
 from .degree_bounds import bfieldr
-from .lattice_core import CongruenceSystem, from_congruences, integer_kernel, l1norm
+from .lattice_core import CongruenceSystem, from_congruences, hnf_columns, integer_kernel, l1norm
 
 
 def is_prime(n):
@@ -158,44 +157,12 @@ def codim1_check(spec: SharpCaseSpec):
             return False, details
         if sum(s * x for s, x in zip(signed, v)) != 0:
             return False, details
+    # the points lie in the kernel, so they generate it iff the spans agree
     kernel = integer_kernel([list(signed)], m)
-    if len(kernel) != m - 1:
+    if hnf_columns(points, m) != hnf_columns(kernel, m):
         return False, details
-    # containment of a kernel basis in the span of the points, integrally
-    for target in kernel:
-        sol = _solve_rational(points, target)
-        if sol is None or any(c.denominator != 1 for c in sol):
-            return False, details
     details["rank"] = m - 1
     return True, details
-
-
-def _solve_rational(vectors, target):
-    # least-squares-free exact solve of sum c_i vectors[i] = target
-    rows = [[Fraction(v[r]) for v in vectors] + [Fraction(target[r])]
-            for r in range(len(target))]
-    ncols = len(vectors)
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        rows[rank] = [x / rows[rank][col] for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, len(rows)):
-        if rows[r][ncols] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        sol[col] = rows[r][ncols]
-    return sol
 
 
 def counterexample_lattice(n) -> CongruenceSystem:

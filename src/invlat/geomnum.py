@@ -161,21 +161,6 @@ def _solve_integer_combo(values, target):
     return [t * scale for t in coeffs]
 
 
-def _functional_preimage(f):
-    """Integer y with f . y = 1; requires gcd of the entries to be 1."""
-    g = 0
-    y = [0] * len(f)
-    coeffs = []
-    for v in f:
-        g2, a, b = xgcd(g, v)
-        coeffs = [a * t for t in coeffs]
-        coeffs.append(b)
-        g = g2
-    if g != 1:
-        raise NoSolutionError("functional is not primitive")
-    return coeffs
-
-
 @dataclass(frozen=True)
 class MahlerBasis:
     vectors: tuple
@@ -219,7 +204,7 @@ def mahler_basis(L) -> MahlerBasis:
             a_i = -a_i
         if a_i == 0:
             raise DependentInputError("minima witness fell into the previous span")
-        y0 = _functional_preimage(f)
+        y0 = _solve_integer_combo(f, 1)
         if cs:
             delta = [Fraction(yv[k], a_i) - y0[k] for k in range(i)]
             s = _solve_fractions(cs, delta)

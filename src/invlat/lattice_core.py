@@ -75,6 +75,54 @@ def det_int(rows):
     return sign * a[n - 1][n - 1]
 
 
+def _gcd_step(carrier, col, j):
+    """Unimodular 2x2 column step that clears col[j] against carrier[j].
+
+    Both vectors change from index j to their end; afterwards carrier[j] is
+    gcd(carrier[j], col[j]) up to sign and col[j] is 0.
+    """
+    a, b = carrier[j], col[j]
+    if b % a == 0:
+        q = b // a
+        for k in range(j, len(col)):
+            col[k] -= q * carrier[k]
+    else:
+        g, x, y = xgcd(a, b)
+        aa, bb = a // g, b // g
+        for k in range(j, len(col)):
+            s, t = carrier[k], col[k]
+            carrier[k] = x * s + y * t
+            col[k] = aa * t - bb * s
+
+
+def _echelon(columns, nrows):
+    """Column echelon of the mutable *columns* over their first nrows entries.
+
+    Row by row, the first column with a nonzero entry there becomes that
+    row's pivot and _gcd_step clears the entry from every later column; a
+    column that becomes zero is dropped.  Returns (pivots, rest): pivots[row]
+    is the pivot column of each row, or None, and rest holds the columns that
+    are zero in all of the first nrows entries.
+    """
+    pivots = []
+    for row in range(nrows):
+        carrier = None
+        rest = []
+        for col in columns:
+            if col[row] == 0:
+                rest.append(col)
+                continue
+            if carrier is None:
+                carrier = col
+                continue
+            _gcd_step(carrier, col, row)
+            if any(col[k] for k in range(row + 1, len(col))):
+                rest.append(col)
+        pivots.append(carrier)
+        columns = rest
+    return pivots, columns
+
+
 def hnf_columns(vectors, dimension):
     """Column-style Hermite form of the span of *vectors* inside Z^dimension.
 
@@ -88,37 +136,10 @@ def hnf_columns(vectors, dimension):
     work = [list(v) for v in vectors if any(v)]
     if any(len(v) != dimension for v in work):
         raise ValueError("vector length does not match dimension")
-    pivots = []
-    for row in range(dimension):
-        carrier = None
-        rest = []
-        for col in work:
-            if col[row] == 0:
-                rest.append(col)
-                continue
-            if carrier is None:
-                carrier = col
-                continue
-            a, b = carrier[row], col[row]
-            if b % a == 0:
-                q = b // a
-                for k in range(row, dimension):
-                    col[k] -= q * carrier[k]
-            else:
-                g, x, y = xgcd(a, b)
-                aa, bb = a // g, b // g
-                for k in range(row, dimension):
-                    s, t = carrier[k], col[k]
-                    carrier[k] = x * s + y * t
-                    col[k] = aa * t - bb * s
-            if any(col[k] for k in range(row + 1, dimension)):
-                rest.append(col)
-        if carrier is not None and carrier[row] < 0:
-            carrier = [-t for t in carrier]
-        pivots.append(carrier)
-        work = rest
-    cols = [c for c in pivots if c is not None]
+    pivots, _ = _echelon(work, dimension)
     pivot_rows = [r for r, c in enumerate(pivots) if c is not None]
+    cols = [pivots[r] if pivots[r][r] > 0 else [-t for t in pivots[r]]
+            for r in pivot_rows]
     # reduce entries below each diagonal into [0, pivot of their row)
     for j, col in enumerate(cols):
         for i in range(j + 1, len(cols)):
@@ -133,47 +154,17 @@ def hnf_columns(vectors, dimension):
 def integer_kernel(rows, ncols):
     """Z-basis of {x in Z^ncols : M x = 0} for the integer matrix with *rows*.
 
-    Column elimination on M while the same operations run on an identity
-    block; the transform columns sitting over eliminated-to-zero columns of M
-    are a basis of the kernel lattice (not merely a spanning set).
+    Column j of M is stacked over e_j and the echelon runs over the M block
+    only.  The steps are unimodular, so the identity block stays a basis of
+    Z^ncols, no column is ever dropped, and the identity-block tails of the
+    columns whose M block became zero are a basis of the kernel lattice (not
+    merely a spanning set).
     """
     ncon = len(rows)
-    cols = []
-    for j in range(ncols):
-        mpart = [rows[i][j] for i in range(ncon)]
-        tpart = [1 if k == j else 0 for k in range(ncols)]
-        cols.append((mpart, tpart))
-    for row in range(ncon):
-        carrier = None
-        rest = []
-        for mc, tc in cols:
-            if mc[row] == 0:
-                rest.append((mc, tc))
-                continue
-            if carrier is None:
-                carrier = (mc, tc)
-                continue
-            a, b = carrier[0][row], mc[row]
-            if b % a == 0:
-                q = b // a
-                for k in range(ncon):
-                    mc[k] -= q * carrier[0][k]
-                for k in range(ncols):
-                    tc[k] -= q * carrier[1][k]
-            else:
-                g, x, y = xgcd(a, b)
-                aa, bb = a // g, b // g
-                for k in range(ncon):
-                    s, t = carrier[0][k], mc[k]
-                    carrier[0][k] = x * s + y * t
-                    mc[k] = aa * t - bb * s
-                for k in range(ncols):
-                    s, t = carrier[1][k], tc[k]
-                    carrier[1][k] = x * s + y * t
-                    tc[k] = aa * t - bb * s
-            rest.append((mc, tc))
-        cols = rest
-    return [tuple(tc) for mc, tc in cols]
+    cols = [[row[j] for row in rows] + [1 if k == j else 0 for k in range(ncols)]
+            for j in range(ncols)]
+    _, rest = _echelon(cols, ncon)
+    return [tuple(c[ncon:]) for c in rest]
 
 
 def _is_int(x):
@@ -260,10 +251,6 @@ class CongruenceSystem:
         return cls(moduli, coefficients)
 
 
-def coset_label(system, v):
-    return system.label(v)
-
-
 @dataclass(frozen=True)
 class LatticeBasis:
     """Canonical basis of a full-rank sublattice of Z^dimension.
@@ -310,9 +297,6 @@ class LatticeBasis:
                 for k in range(i, self.dimension):
                     r[k] -= q * col[k]
         return True
-
-    def contains(self, v):
-        return v in self
 
     def reduce(self, v):
         """Canonical coset representative of v in the box prod [0, d_i).
@@ -497,15 +481,4 @@ class GeneratedLattice:
                     v = [-t for t in v]
                 self._by_pivot[j] = v
                 return
-            a, b = row[j], v[j]
-            if b % a == 0:
-                q = b // a
-                for k in range(j, self.dimension):
-                    v[k] -= q * row[k]
-            else:
-                g, x, y = xgcd(a, b)
-                aa, bb = a // g, b // g
-                for k in range(j, self.dimension):
-                    s, t = row[k], v[k]
-                    row[k] = x * s + y * t
-                    v[k] = aa * t - bb * s
+            _gcd_step(row, v, j)

@@ -174,18 +174,24 @@ def sigma(n):
     return sum(_divisors(n))
 
 
+def _sublattice_shapes(n):
+    """(a, b, d) with a d = n and 0 <= b < d, in increasing d then b order."""
+    if n < 1:
+        raise ValueError("index must be positive")
+    for d in _divisors(n):
+        a = n // d
+        for b in range(d):
+            yield a, b, d
+
+
 def enumerate_sublattices(n):
     """All index-n sublattices of Z^2, each exactly once.
 
     Canonical generator shape (a, b), (0, d) with a d = n and 0 <= b < d;
     yields (a, b, d, lattice) in increasing d then b order.
     """
-    if n < 1:
-        raise ValueError("index must be positive")
-    for d in _divisors(n):
-        a = n // d
-        for b in range(d):
-            yield a, b, d, LatticeBasis.from_generators([(a, b), (0, d)])
+    for a, b, d in _sublattice_shapes(n):
+        yield a, b, d, LatticeBasis.from_generators([(a, b), (0, d)])
 
 
 def _excluded(L):
@@ -284,7 +290,7 @@ def hrd_verify(n, mode="all", jobs=1) -> HrdReport:
     """
     if mode not in ("all", "excluded", "nonexcluded"):
         raise ValueError("mode must be all, excluded or nonexcluded")
-    items = [(n, a, b, d) for a, b, d, _ in enumerate_sublattices(n)]
+    items = [(n, a, b, d) for a, b, d in _sublattice_shapes(n)]
     rows = parallel_map(_hrd_row, items, jobs)
     if mode == "excluded":
         rows = [r for r in rows if r.excluded]

@@ -280,6 +280,19 @@ class TestScan:
             assert r["flag"] == "cap-exceeded:bfield"
             assert r["dspan"] is None and r["meets_bound"] is None
 
+    def test_random_skips_m_not_below_p(self):
+        # m >= p has no m distinct nonzero residues; those cells are skipped
+        args = ["scan", "--primes", "5..7", "--family", "random",
+                "--samples", "2", "--format", "json"]
+        code, text = run(args + ["--m", "2..6"])
+        assert code == 0
+        rows = json.loads(text)["rows"]
+        assert sorted({(r["p"], r["m"]) for r in rows}) == \
+            [(5, 2), (5, 3), (5, 4), (7, 2), (7, 3), (7, 4), (7, 5), (7, 6)]
+        code, text = run(args + ["--m", "2..4"])
+        assert code == 0
+        assert [r for r in rows if r["m"] <= 4] == json.loads(text)["rows"]
+
     def test_no_primes_in_range(self):
         assert run(["scan", "--primes", "4", "--m", "2"])[0] == 2
 

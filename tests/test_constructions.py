@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from invlat import constructions
 from invlat.constructions import (
     COUNTEREXAMPLE_D,
     COUNTEREXAMPLE_PROOF_VECTORS,
@@ -110,6 +111,18 @@ class TestCodim1:
         for miss in (1, -1, 2, -2):
             ok, _ = codim1_check(SharpCaseSpec(7, 3, missing=miss))
             assert ok, miss
+
+    @pytest.mark.parametrize("points", [
+        ((1, 1, 0, 0),) * 3,                          # rank 1
+        ((0, 0, 1, 1), (0, 2, 1, 0), (2, 0, 0, 1)),   # rank 3, index 2
+    ])
+    def test_check_rejects_points_that_do_not_generate(self, monkeypatch, points):
+        # each point is nonnegative, of norm <= 3 and in the kernel of
+        # (1, -1, 2, -2), so only the generation test can fail
+        monkeypatch.setattr(constructions, "codim1_generators", lambda spec: points)
+        ok, details = codim1_check(SharpCaseSpec(11, 4))
+        assert not ok
+        assert details == {"points": [list(p) for p in points]}
 
     def test_single_coordinate(self):
         # m = 1 leaves nothing to generate

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -71,6 +72,22 @@ class TestIntegerKernel:
             assert len(kernel) == m - oracles.rank_of(rows)
             if kernel:
                 assert oracles.rank_of(kernel) == len(kernel)
+
+    def test_kernel_is_the_whole_lattice(self):
+        # every kernel vector in a box is an integer combination of the basis
+        rng = random.Random(12)
+        found = 0
+        for _ in range(30):
+            r = rng.randint(1, 2)
+            m = rng.randint(r + 1, 4)
+            rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(r)]
+            kernel = integer_kernel(rows, m)
+            span = hnf_columns(kernel, m)
+            for v in itertools.product(range(-3, 4), repeat=m):
+                if any(v) and all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows):
+                    found += 1
+                    assert hnf_columns(kernel + [v], m) == span, (rows, v)
+        assert found > 100
 
 
 class TestCongruenceSystem:
