@@ -9,17 +9,51 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
+from functools import partial
+from typing import NamedTuple
 
 from . import constructions, geomnum, rank2
 from .degree_bounds import CapExceededError, bfield, bfieldr, dspan, verify_bound_relations
 from .lattice_core import CongruenceSystem, InvalidSystemError, from_congruences, l1norm
 from .parallel import parallel_map, resolve_jobs
-from .sampling import random_congruence_systems
+from .sampling import random_congruence_systems, scan_cell_systems
 
 BOUND_FUNCS = {"dspan": dspan, "bfield": bfield, "bfieldr": bfieldr}
-SUITES = ("hrd", "counterexample", "minkowski", "relations", "sharp", "blob", "bite")
+
+
+class Result(NamedTuple):
+    """What a command computed, in every output form: the json payload, the
+    csv header and rows, the pretty lines, and the violations a verification
+    suite found."""
+
+    payload: dict
+    header: list
+    rows: list
+    pretty: list
+    violations: tuple = ()
+
+
+def emit(result, fmt, out):
+    """Write result in format fmt to out and each violation to stderr; the
+    exit code is 1 when there are violations, else 0."""
+    if fmt == "json":
+        out.write(json.dumps(result.payload) + "\n")
+    elif fmt == "csv":
+        # None is an empty cell
+        for row in [result.header] + result.rows:
+            out.write(",".join("" if x is None else str(x) for x in row) + "\n")
+    else:
+        for line in result.pretty:
+            out.write(line + "\n")
+    for v in result.violations:
+        sys.stderr.write(f"violation: {v}\n")
+    return 1 if result.violations else 0
+
+
+def table_lines(header, rows):
+    """Pretty table rows as h=v pairs."""
+    return ["  ".join(f"{h}={v}" for h, v in zip(header, row)) for row in rows]
 
 
 # ---------------------------------------------------------------- input forms
@@ -56,20 +90,50 @@ def parse_construct(text):
     return name, params
 
 
-def system_from_construct(text):
+def _sharp(p, m, missing=None):
+    return constructions.sharp_case_lattice(constructions.SharpCaseSpec(p, m, missing))
+
+
+def _counterexample(n):
+    return constructions.counterexample_lattice(n)
+
+
+def _dihedral(n):
+    return {"n": n, "dspan": constructions.dihedral_dspan(n)}
+
+
+def _dicyclic(n):
+    return {"n": n, "dspan": constructions.dicyclic_dspan(n),
+            "witness_ok": constructions.dicyclic_witness_check(n)}
+
+
+# name -> (build, required parameters, optional parameters, defines a
+# lattice); build takes the parameters as keywords and returns the
+# CongruenceSystem of a lattice family, else the construct payload
+FAMILIES = {
+    "sharp": (_sharp, ("p", "m"), ("missing",), True),
+    "counterexample": (_counterexample, ("n",), (), True),
+    "dihedral": (_dihedral, ("n",), (), False),
+    "dicyclic": (_dicyclic, ("n",), (), False),
+}
+
+
+def construction(text, need_lattice=False):
+    """Build the family that `name:k=v,...` names, after checking that its
+    parameters are exactly the family's."""
     name, params = parse_construct(text)
-    if name == "sharp":
-        spec = constructions.SharpCaseSpec(
-            params.pop("p"), params.pop("m"), params.pop("missing", None))
-        if params:
-            raise ValueError(f"unknown sharp parameters {sorted(params)}")
-        return constructions.sharp_case_lattice(spec)
-    if name == "counterexample":
-        n = params.pop("n")
-        if params:
-            raise ValueError(f"unknown counterexample parameters {sorted(params)}")
-        return constructions.counterexample_lattice(n)
-    raise ValueError(f"construction {name!r} does not define a lattice")
+    if name not in FAMILIES:
+        raise ValueError(f"unknown construction {name!r}")
+    build, required, optional, lattice = FAMILIES[name]
+    if need_lattice and not lattice:
+        raise ValueError(f"construction {name!r} does not define a lattice")
+    for k in required:
+        if k not in params:
+            raise ValueError(f"{name} needs parameter {k}")
+    unknown = sorted(set(params) - set(required) - set(optional))
+    if unknown:
+        raise ValueError(f"unknown {name} parameters {unknown}")
+    return build(**params)
 
 
 def load_system(args):
@@ -77,7 +141,7 @@ def load_system(args):
     if len(sources) != 1:
         raise ValueError("provide exactly one of --congruence, --input, --construct")
     if args.construct:
-        return system_from_construct(args.construct)
+        return construction(args.construct, need_lattice=True)
     text = args.congruence
     if args.input:
         with open(args.input) as fh:
@@ -91,9 +155,12 @@ def add_lattice_args(sub):
     sub.add_argument("--construct", help="inline construction, e.g. sharp:p=5,m=2")
 
 
-def add_common_args(sub):
+def add_format_arg(sub):
     sub.add_argument("--format", "-f", choices=("json", "csv", "pretty"),
                      default="pretty")
+
+
+def add_jobs_arg(sub):
     sub.add_argument("--jobs", "-j", type=int, default=None,
                      help="worker processes (INVLAT_THREADS also honored)")
 
@@ -107,15 +174,9 @@ def csv_cell(v):
     return " ".join(str(x) for x in v)
 
 
-def emit_csv(header, rows, out):
-    out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(str(x) for x in row) + "\n")
-
-
 # ------------------------------------------------------------------- bounds
 
-def cmd_bounds(args, out):
+def cmd_bounds(args):
     system = load_system(args)
     L = from_congruences(system)
     which = ("dspan", "bfield", "bfieldr") if args.which == "all" else \
@@ -124,70 +185,47 @@ def cmd_bounds(args, out):
         if w not in BOUND_FUNCS:
             raise ValueError(f"unknown bound {w!r}")
     reports = {w: BOUND_FUNCS[w](L, cap=args.cap) for w in which}
-    payload = {
-        "input": system.to_jsonable(),
-        "index": L.index,
-        "bounds": {},
-    }
-    for w, rep in reports.items():
-        entry = rep.to_jsonable()
+    bounds = {}
+    pretty = [f"index {L.index}, dimension {system.m}, moduli {list(system.moduli)}"]
+    for w in which:
+        rep = reports[w]
+        bounds[w] = rep.to_jsonable()
+        pretty.append(f"{w} = {rep.value}  [cap {rep.search_cap}]")
         if w == "dspan":
             # key coset witnesses by the congruence labels, not box residues
-            entry["witnesses"] = {
-                ",".join(str(r) for r in system.label(v)): list(v)
-                for v in rep.witnesses.values()
-            }
-        payload["bounds"][w] = entry
-    if args.format == "json":
-        out.write(json.dumps(payload) + "\n")
-    elif args.format == "csv":
-        emit_csv(["which", "value", "index", "search_cap"],
-                 [(w, reports[w].value, L.index, reports[w].search_cap)
-                  for w in which], out)
-    else:
-        out.write(f"index {L.index}, dimension {system.m}, "
-                  f"moduli {list(system.moduli)}\n")
-        for w in which:
-            rep = reports[w]
-            out.write(f"{w} = {rep.value}  [cap {rep.search_cap}]\n")
-            if w == "dspan":
-                for v in rep.witnesses.values():
-                    lab = ",".join(str(r) for r in system.label(v))
-                    out.write(f"  label {lab}: {vec_str(v)}\n")
-            else:
-                vecs = " ".join(vec_str(v) for v in rep.witnesses)
-                out.write(f"  witnesses: {vecs}\n")
-    return 0
+            labelled = {",".join(str(r) for r in system.label(v)): v
+                        for v in rep.witnesses.values()}
+            bounds[w]["witnesses"] = labelled
+            pretty += [f"  label {lab}: {vec_str(v)}" for lab, v in labelled.items()]
+        else:
+            pretty.append("  witnesses: " + " ".join(vec_str(v) for v in rep.witnesses))
+    payload = {"input": system.to_jsonable(), "index": L.index, "bounds": bounds}
+    rows = [(w, reports[w].value, L.index, reports[w].search_cap) for w in which]
+    return Result(payload, ["which", "value", "index", "search_cap"], rows, pretty)
 
 
 # ------------------------------------------------------------------- minima
 
-def cmd_minima(args, out):
+def cmd_minima(args):
     system = load_system(args)
     L = from_congruences(system)
     sm = geomnum.successive_minima(L, cap=args.cap)
     mk = geomnum.minkowski_check(L, sm)
-    if args.format == "json":
-        payload = {
-            "input": system.to_jsonable(),
-            "index": L.index,
-            "minima": list(sm.values),
-            "witnesses": [list(v) for v in sm.witnesses],
-            "minkowski": {"product": mk.product, "bound": mk.bound, "ok": mk.ok},
-        }
-        out.write(json.dumps(payload) + "\n")
-    elif args.format == "csv":
-        rows = [(i + 1, lam, csv_cell(w), mk.product, mk.bound, mk.ok)
-                for i, (lam, w) in enumerate(zip(sm.values, sm.witnesses))]
-        emit_csv(["i", "lambda", "witness", "product", "bound", "minkowski_ok"],
-                 rows, out)
-    else:
-        out.write(f"index {L.index}, dimension {system.m}\n")
-        for i, (lam, w) in enumerate(zip(sm.values, sm.witnesses)):
-            out.write(f"lambda_{i + 1} = {lam}  witness {vec_str(w)}\n")
-        out.write(f"minkowski: product {mk.product} <= {mk.bound}"
-                  f" {'ok' if mk.ok else 'VIOLATED'}\n")
-    return 0
+    payload = {
+        "input": system.to_jsonable(),
+        "index": L.index,
+        "minima": sm.values,
+        "witnesses": sm.witnesses,
+        "minkowski": {"product": mk.product, "bound": mk.bound, "ok": mk.ok},
+    }
+    minima = list(enumerate(zip(sm.values, sm.witnesses), 1))
+    rows = [(i, lam, csv_cell(w), mk.product, mk.bound, mk.ok) for i, (lam, w) in minima]
+    pretty = [f"index {L.index}, dimension {system.m}"]
+    pretty += [f"lambda_{i} = {lam}  witness {vec_str(w)}" for i, (lam, w) in minima]
+    pretty.append(f"minkowski: product {mk.product} <= {mk.bound}"
+                  f" {'ok' if mk.ok else 'VIOLATED'}")
+    return Result(payload, ["i", "lambda", "witness", "product", "bound", "minkowski_ok"],
+                  rows, pretty)
 
 
 # -------------------------------------------------------------------- basis
@@ -213,100 +251,75 @@ def _inverse_pairs(system):
     return pairs
 
 
-def cmd_basis(args, out):
+def cmd_basis(args):
     system = load_system(args)
     L = from_congruences(system)
     gd = geomnum.gen_deg_basis(L)
+    c = gd.completion
+    payload = {
+        "input": system.to_jsonable(),
+        "index": L.index,
+        "vectors": gd.vectors,
+        "norms": gd.norms,
+        "max_norm": gd.max_norm,
+        "bound": gd.bound,
+        "within_bound": gd.within_bound,
+        "completion": {
+            "bstar": c.bstar,
+            "dstar": c.dstar,
+            "form": c.form.coefficients,
+            "dstar_at_least_index": c.dstar_at_least_index,
+        },
+    }
+    basis = list(enumerate(zip(gd.vectors, gd.norms), 1))
+    rows = [("gen_deg", i, csv_cell(v), nrm) for i, (v, nrm) in basis]
+    pretty = [f"index {L.index}, dimension {system.m}"]
+    pretty += [f"b_{i} = {vec_str(v)}  norm {nrm}" for i, (v, nrm) in basis]
+    pretty += [f"max norm {gd.max_norm}, bound {gd.bound}, within {gd.within_bound}",
+               f"completion b* = {vec_str(c.bstar)}, D* = {c.dstar}, "
+               f"D = {vec_str(c.form.coefficients)}"]
     pairs = _inverse_pairs(system)
-    lifted = None
     if pairs is not None:
         lifted = geomnum.dual_pair_lift(L, pairs, gd.vectors)
-    if args.format == "json":
-        payload = {
-            "input": system.to_jsonable(),
-            "index": L.index,
-            "vectors": [list(v) for v in gd.vectors],
-            "norms": list(gd.norms),
-            "max_norm": gd.max_norm,
-            "bound": gd.bound,
-            "within_bound": gd.within_bound,
-        }
-        payload["completion"] = {
-            "bstar": list(gd.completion.bstar),
-            "dstar": gd.completion.dstar,
-            "form": list(gd.completion.form.coefficients),
-            "dstar_at_least_index": gd.completion.dstar_at_least_index,
-        }
-        if lifted is not None:
-            payload["lift"] = {
-                "pairs": [list(p) for p in pairs],
-                "vectors": [list(v) for v in lifted],
-                "max_norm": max((l1norm(v) for v in lifted), default=0),
-            }
-        out.write(json.dumps(payload) + "\n")
-    elif args.format == "csv":
-        rows = [("gen_deg", i + 1, csv_cell(v), nrm)
-                for i, (v, nrm) in enumerate(zip(gd.vectors, gd.norms))]
-        if lifted is not None:
-            rows += [("lifted", i + 1, csv_cell(v), l1norm(v))
-                     for i, v in enumerate(lifted)]
-        emit_csv(["kind", "i", "vector", "norm"], rows, out)
-    else:
-        out.write(f"index {L.index}, dimension {system.m}\n")
-        for i, (v, nrm) in enumerate(zip(gd.vectors, gd.norms)):
-            out.write(f"b_{i + 1} = {vec_str(v)}  norm {nrm}\n")
-        out.write(f"max norm {gd.max_norm}, bound {gd.bound}, "
-                  f"within {gd.within_bound}\n")
-        c = gd.completion
-        out.write(f"completion b* = {vec_str(c.bstar)}, D* = {c.dstar}, "
-                  f"D = {vec_str(c.form.coefficients)}\n")
-        if lifted is not None:
-            mx = max((l1norm(v) for v in lifted), default=0)
-            pstr = " ".join(vec_str(p) for p in pairs)
-            out.write(f"lift pairs {pstr}: max norm {mx}\n")
-            for v in lifted:
-                out.write(f"  {vec_str(v)}\n")
-        elif system.r == 1:
-            out.write("lift: coefficients are not inverse-closed\n")
-    return 0
+        mx = max((l1norm(v) for v in lifted), default=0)
+        payload["lift"] = {"pairs": pairs, "vectors": lifted, "max_norm": mx}
+        rows += [("lifted", i, csv_cell(v), l1norm(v)) for i, v in enumerate(lifted, 1)]
+        pretty.append(f"lift pairs {' '.join(vec_str(p) for p in pairs)}: max norm {mx}")
+        pretty += [f"  {vec_str(v)}" for v in lifted]
+    elif system.r == 1:
+        pretty.append("lift: coefficients are not inverse-closed")
+    return Result(payload, ["kind", "i", "vector", "norm"], rows, pretty)
 
 
 # ------------------------------------------------------------------ verify
 
-def _relations_case(system):
+def _relations_case(item):
+    system, _ = item
     ok, values = verify_bound_relations(from_congruences(system))
     return ok, system, values
 
 
-def _minkowski_case(system):
+def _minkowski_case(item):
+    system, _ = item
     mk = geomnum.minkowski_check(from_congruences(system))
     return mk.ok, system, {"product": mk.product, "bound": mk.bound}
 
 
-def _blob_case(system):
+def _blob_case(item):
+    system, _ = item
     ok, detail = rank2.blob_check(from_congruences(system))
     return ok, system, detail
 
 
-def _bite_case(args):
-    system, seed = args
+def _bite_case(item):
+    system, seed = item
     ok, detail = rank2.bite_check(from_congruences(system), seed=seed)
     return ok, system, detail
 
 
-def _sampled(args):
-    return random_congruence_systems(
-        args.random, args.seed, m_choices=tuple(parse_range(args.m)),
-        n_max=args.nmax)
-
-
 def _verify_hrd(args, jobs):
-    groups = []
-    violations = []
-    for n in parse_range(args.n):
-        rep = rank2.hrd_verify(n, jobs=jobs)
-        groups.append(rep)
-        violations.extend(rep.violations)
+    groups = [rank2.hrd_verify(n, jobs=jobs) for n in parse_range(args.n)]
+    violations = [v for g in groups for v in g.violations]
     rows = [(g.n, g.sigma, g.count, g.excluded_count,
              g.max_dspan_nonexcluded, len(g.violations)) for g in groups]
     header = ["n", "sigma", "count", "excluded", "max_dspan", "violations"]
@@ -316,7 +329,7 @@ def _verify_hrd(args, jobs):
             {"n": g.n, "sigma": g.sigma, "count": g.count,
              "excluded": g.excluded_count,
              "max_dspan_nonexcluded": g.max_dspan_nonexcluded,
-             "violations": list(g.violations)}
+             "violations": g.violations}
             for g in groups
         ],
         "ok": not violations,
@@ -336,29 +349,24 @@ def _verify_counterexample(args, jobs):
     return payload, ["n", "bfieldr", "half", "bound", "ok"], rows, violations
 
 
-def _verify_sampled(args, jobs, worker, suite):
-    systems = _sampled(args)
-    if suite == "bite":
-        results = parallel_map(worker, [(s, args.seed + i) for i, s in enumerate(systems)], jobs)
-    else:
-        results = parallel_map(worker, systems, jobs)
+def _verify_sampled(worker, args, jobs):
+    """A property suite over seeded random systems; worker gets (system,
+    seed) with the seed advancing by one per system."""
+    systems = random_congruence_systems(
+        args.random, args.seed, m_choices=tuple(parse_range(args.m)),
+        n_max=args.nmax)
+    items = [(s, args.seed + i) for i, s in enumerate(systems)]
+    results = parallel_map(worker, items, jobs)
     violations = [s.to_json() for ok, s, _ in results if not ok]
     rows = [(s.moduli[0], s.m, csv_cell(s.coefficients[0]), ok)
             for ok, s, _ in results]
     payload = {
-        "suite": suite,
-        "cases": [{"system": s.to_jsonable(), "ok": ok, "detail": _jsonable_detail(d)}
+        "suite": args.suite,
+        "cases": [{"system": s.to_jsonable(), "ok": ok, "detail": d}
                   for ok, s, d in results],
         "ok": not violations,
     }
     return payload, ["n", "m", "coefficients", "ok"], rows, violations
-
-
-def _jsonable_detail(d):
-    out = {}
-    for k, v in d.items():
-        out[k] = list(v) if isinstance(v, tuple) else v
-    return out
 
 
 def _verify_sharp(args, jobs):
@@ -391,84 +399,72 @@ def _verify_sharp(args, jobs):
         ],
         "ok": not violations,
     }
+    # an empty cell, not None, also in pretty rows: even m has no missing
     rows = [(p, m, "" if miss is None else miss, bf, br, bound, ok)
             for p, m, miss, bf, br, bound, ok in cases]
     return payload, ["p", "m", "missing", "bfield", "bfieldr", "bound", "ok"], rows, violations
 
 
-def cmd_verify(args, out):
-    jobs = resolve_jobs(args.jobs)
-    if args.suite == "hrd":
-        payload, header, rows, violations = _verify_hrd(args, jobs)
-    elif args.suite == "counterexample":
-        payload, header, rows, violations = _verify_counterexample(args, jobs)
-    elif args.suite == "minkowski":
-        payload, header, rows, violations = _verify_sampled(args, jobs, _minkowski_case, "minkowski")
-    elif args.suite == "relations":
-        payload, header, rows, violations = _verify_sampled(args, jobs, _relations_case, "relations")
-    elif args.suite == "blob":
-        payload, header, rows, violations = _verify_sampled(args, jobs, _blob_case, "blob")
-    elif args.suite == "bite":
-        payload, header, rows, violations = _verify_sampled(args, jobs, _bite_case, "bite")
-    else:
-        payload, header, rows, violations = _verify_sharp(args, jobs)
-    if args.format == "json":
-        out.write(json.dumps(payload) + "\n")
-    elif args.format == "csv":
-        emit_csv(header, rows, out)
-    else:
-        for row in rows:
-            out.write("  ".join(f"{h}={v}" for h, v in zip(header, row)) + "\n")
-        out.write(f"suite {args.suite}: {len(rows)} cases, "
-                  f"{len(violations)} violations\n")
-    if violations:
-        for v in violations:
-            sys.stderr.write(f"violation: {v}\n")
-        return 1
-    return 0
+# suite -> (run(args, jobs) giving (payload, header, rows, violations),
+#           the default --n for the suites that read it)
+SUITES = {
+    "hrd": (_verify_hrd, "1..24"),
+    "counterexample": (_verify_counterexample, "6,8,10,12"),
+    "minkowski": (partial(_verify_sampled, _minkowski_case), None),
+    "relations": (partial(_verify_sampled, _relations_case), None),
+    "sharp": (_verify_sharp, None),
+    "blob": (partial(_verify_sampled, _blob_case), None),
+    "bite": (partial(_verify_sampled, _bite_case), None),
+}
+
+
+def cmd_verify(args):
+    run, default_n = SUITES[args.suite]
+    if args.n is None:
+        args.n = default_n
+    payload, header, rows, violations = run(args, resolve_jobs(args.jobs))
+    pretty = table_lines(header, rows)
+    pretty.append(f"suite {args.suite}: {len(rows)} cases, {len(violations)} violations")
+    return Result(payload, header, rows, pretty, violations)
 
 
 # -------------------------------------------------------------------- scan
 
+SCAN_HEADER = ["p", "m", "family", "coefficients", "dspan", "bfield", "bfieldr",
+               "conjecture_bound", "meets_bound", "flag"]
+
+
 def _scan_cell(cell):
     family, p, m, samples, seed, cap = cell
-    rows = []
     if m >= p:
-        return rows
+        return []
     if family == "sharp":
         systems = [constructions.sharp_case_lattice(constructions.SharpCaseSpec(p, m))]
     else:
-        rng = random.Random(seed * 1000003 + p * 1009 + m)
-        systems = []
-        for _ in range(samples):
-            coeffs = tuple(rng.sample(range(1, p), m))
-            systems.append(CongruenceSystem((p,), (coeffs,)))
+        systems = scan_cell_systems(p, m, samples, seed)
     bound = constructions.conjecture_bound(p, m)
+    rows = []
     for system in systems:
         L = from_congruences(system)
         try:
             ds = dspan(L, cap=cap).value
             bf = bfield(L, cap=cap).value
             br = bfieldr(L, cap=cap).value
-            rows.append({
-                "p": p, "m": m, "family": family,
-                "coefficients": list(system.coefficients[0]),
-                "dspan": ds, "bfield": bf, "bfieldr": br,
-                "conjecture_bound": bound,
-                "meets_bound": bf <= bound, "flag": "",
-            })
+            meets, flag = bf <= bound, ""
         except CapExceededError as exc:
-            rows.append({
-                "p": p, "m": m, "family": family,
-                "coefficients": list(system.coefficients[0]),
-                "dspan": None, "bfield": None, "bfieldr": None,
-                "conjecture_bound": bound,
-                "meets_bound": None, "flag": f"cap-exceeded:{exc.which}",
-            })
+            ds = bf = br = meets = None
+            flag = f"cap-exceeded:{exc.which}"
+        rows.append({
+            "p": p, "m": m, "family": family,
+            "coefficients": system.coefficients[0],
+            "dspan": ds, "bfield": bf, "bfieldr": br,
+            "conjecture_bound": bound,
+            "meets_bound": meets, "flag": flag,
+        })
     return rows
 
 
-def cmd_scan(args, out):
+def cmd_scan(args):
     jobs = resolve_jobs(args.jobs)
     primes = [p for p in parse_range(args.primes) if constructions.is_prime(p)]
     if not primes:
@@ -477,55 +473,32 @@ def cmd_scan(args, out):
              for p in primes for m in parse_range(args.m)]
     rows = [r for cell_rows in parallel_map(_scan_cell, cells, jobs)
             for r in cell_rows]
-    if args.format == "json":
-        out.write(json.dumps({"rows": rows}) + "\n")
-    else:
-        header = ["p", "m", "family", "coefficients", "dspan", "bfield",
-                  "bfieldr", "conjecture_bound", "meets_bound", "flag"]
-        table = [
-            (r["p"], r["m"], r["family"], csv_cell(r["coefficients"]),
-             r["dspan"], r["bfield"], r["bfieldr"], r["conjecture_bound"],
-             r["meets_bound"], r["flag"])
-            for r in rows
-        ]
-        if args.format == "csv":
-            emit_csv(header, [["" if x is None else x for x in t] for t in table], out)
-        else:
-            for t in table:
-                out.write("  ".join(str(x) for x in t) + "\n")
-            out.write(f"{len(table)} rows\n")
-    return 0
+    table = [
+        (r["p"], r["m"], r["family"], csv_cell(r["coefficients"]),
+         r["dspan"], r["bfield"], r["bfieldr"], r["conjecture_bound"],
+         r["meets_bound"], r["flag"])
+        for r in rows
+    ]
+    pretty = table_lines(SCAN_HEADER, table) + [f"{len(table)} rows"]
+    return Result({"rows": rows}, SCAN_HEADER, table, pretty)
 
 
 # --------------------------------------------------------------- construct
 
-def cmd_construct(args, out):
-    name, params = parse_construct(args.spec)
-    if name in ("sharp", "counterexample"):
-        system = system_from_construct(args.spec)
-        L = from_congruences(system)
-        payload = dict(system.to_jsonable(), index=L.index)
-    elif name == "dihedral":
-        n = params["n"]
-        payload = {"n": n, "dspan": constructions.dihedral_dspan(n)}
-    elif name == "dicyclic":
-        n = params["n"]
-        payload = {"n": n, "dspan": constructions.dicyclic_dspan(n),
-                   "witness_ok": constructions.dicyclic_witness_check(n)}
+def cmd_construct(args):
+    built = construction(args.spec)
+    if isinstance(built, CongruenceSystem):
+        payload = dict(built.to_jsonable(), index=from_congruences(built).index)
     else:
-        raise ValueError(f"unknown construction {name!r}")
-    if args.format == "json":
-        out.write(json.dumps(payload) + "\n")
-    elif args.format == "csv":
-        def cell(v):
-            if isinstance(v, list) and v and isinstance(v[0], list):
-                return ";".join(csv_cell(r) for r in v)
-            return csv_cell(v) if isinstance(v, list) else v
-        emit_csv(["key", "value"], [(k, cell(v)) for k, v in payload.items()], out)
-    else:
-        for k, v in payload.items():
-            out.write(f"{k}: {v}\n")
-    return 0
+        payload = built
+
+    def cell(v):
+        if isinstance(v, list) and v and isinstance(v[0], list):
+            return ";".join(csv_cell(r) for r in v)
+        return csv_cell(v) if isinstance(v, list) else v
+    rows = [(k, cell(v)) for k, v in payload.items()]
+    pretty = [f"{k}: {v}" for k, v in payload.items()]
+    return Result(payload, ["key", "value"], rows, pretty)
 
 
 # --------------------------------------------------------------------- main
@@ -542,18 +515,18 @@ def build_parser():
     p.add_argument("--which", default="all",
                    help="comma list of dspan,bfield,bfieldr or 'all'")
     p.add_argument("--cap", type=int, default=None)
-    add_common_args(p)
+    add_format_arg(p)
     p.set_defaults(fn=cmd_bounds)
 
     p = subs.add_parser("minima", help="successive minima and Minkowski check")
     add_lattice_args(p)
     p.add_argument("--cap", type=int, default=None)
-    add_common_args(p)
+    add_format_arg(p)
     p.set_defaults(fn=cmd_minima)
 
     p = subs.add_parser("basis", help="generating-degree basis and dual-pair lift")
     add_lattice_args(p)
-    add_common_args(p)
+    add_format_arg(p)
     p.set_defaults(fn=cmd_basis)
 
     p = subs.add_parser("verify", help="run a verification suite")
@@ -564,7 +537,8 @@ def build_parser():
     p.add_argument("--m", default="2..4")
     p.add_argument("--nmax", type=int, default=30)
     p.add_argument("--primes", default="5..13")
-    add_common_args(p)
+    add_format_arg(p)
+    add_jobs_arg(p)
     p.set_defaults(fn=cmd_verify)
 
     p = subs.add_parser("scan", help="per-(p, m) bound table")
@@ -574,12 +548,13 @@ def build_parser():
     p.add_argument("--samples", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=int, default=None)
-    add_common_args(p)
+    add_format_arg(p)
+    add_jobs_arg(p)
     p.set_defaults(fn=cmd_scan)
 
     p = subs.add_parser("construct", help="emit a named construction")
     p.add_argument("spec", help="e.g. sharp:p=5,m=2 or dicyclic:n=3")
-    add_common_args(p)
+    add_format_arg(p)
     p.set_defaults(fn=cmd_construct)
 
     return parser
@@ -587,12 +562,9 @@ def build_parser():
 
 def main(argv=None, out=None):
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify" and args.n is None:
-        args.n = "6,8,10,12" if args.suite == "counterexample" else "1..24"
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args, out)
+        return emit(args.fn(args), args.format, out)
     except CapExceededError as exc:
         sys.stderr.write(f"cap exceeded while computing {exc.which} "
                          f"(cap {exc.cap})\n")

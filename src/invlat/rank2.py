@@ -343,13 +343,15 @@ def blob_check(L, radius=None):
     """
     if radius is None:
         radius = 2 * L.index
-    from .ball_enum import points_up_to
+    from .ball_enum import lattice_shell_points
 
     witnesses = list(dspan(L).witnesses.values())
-    for a in points_up_to(L.dimension, radius, "all"):
-        if weight(a) <= 0 or a not in L:
-            continue
-        for w in witnesses:
-            if all(x <= y for x, y in zip(a, w)):
-                return False, {"point": a, "witness": w}
+    # lattice_points_up_to's members in order, but not held in one list
+    for d in range(radius + 1):
+        for a in lattice_shell_points(L, d, "all"):
+            if weight(a) <= 0:
+                continue
+            for w in witnesses:
+                if all(x <= y for x, y in zip(a, w)):
+                    return False, {"point": a, "witness": w}
     return True, {"witnesses": len(witnesses), "radius": radius}

@@ -9,8 +9,12 @@ alone, across platforms: random.Random(seed), then per system
     coefficients = rng.sample(range(1, n), m),
 
 giving a single-row system with distinct nonzero coefficients mod n (so
-no coordinate is trivial and no two coincide).  Changing this procedure
-invalidates frozen sweep outputs; treat it as part of the contract.
+no coordinate is trivial and no two coincide).  `scan --family random`
+draws each (p, m) cell from its own random.Random(seed * 1000003 +
+p * 1009 + m), one rng.sample(range(1, p), m) per system, so a cell's
+systems do not depend on which other cells the scan covers.  Changing
+either procedure invalidates frozen sweep outputs; treat both as part of
+the contract.
 """
 
 from __future__ import annotations
@@ -36,3 +40,10 @@ def random_congruence_systems(count, seed, m_choices=(2, 3, 4), n_max=50,
         coeffs = tuple(rng.sample(range(1, n), m))
         systems.append(CongruenceSystem((n,), (coeffs,)))
     return systems
+
+
+def scan_cell_systems(p, m, samples, seed):
+    """The `samples` single-row systems mod p of one `scan` (p, m) cell."""
+    rng = random.Random(seed * 1000003 + p * 1009 + m)
+    return [CongruenceSystem((p,), (tuple(rng.sample(range(1, p), m)),))
+            for _ in range(samples)]

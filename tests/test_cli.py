@@ -326,6 +326,38 @@ class TestConstruct:
         assert run(["construct", "dihedral:n=2"])[0] == 2
         assert run(["construct", "sharp:p=5,m=2,extra=1"])[0] == 2
 
+    def test_missing_parameter_named(self, capsys):
+        cases = [(["construct", "sharp:m=2"], "sharp needs parameter p"),
+                 (["construct", "sharp:p=5"], "sharp needs parameter m"),
+                 (["construct", "counterexample"], "counterexample needs parameter n"),
+                 (["construct", "dihedral"], "dihedral needs parameter n"),
+                 (["construct", "dicyclic:x=1"], "dicyclic needs parameter n"),
+                 (["bounds", "--construct", "sharp:m=2"], "sharp needs parameter p"),
+                 (["minima", "--construct", "counterexample"],
+                  "counterexample needs parameter n")]
+        for argv, message in cases:
+            assert run(argv) == (2, ""), argv
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_unknown_parameter_rejected(self, capsys):
+        cases = [(["construct", "sharp:p=5,m=2,x=1"], "unknown sharp parameters ['x']"),
+                 (["construct", "counterexample:n=6,k=1"],
+                  "unknown counterexample parameters ['k']"),
+                 (["construct", "dihedral:n=4,x=1"], "unknown dihedral parameters ['x']"),
+                 (["construct", "dicyclic:n=3,foo=2"], "unknown dicyclic parameters ['foo']"),
+                 (["basis", "--construct", "sharp:p=5,m=2,x=1"],
+                  "unknown sharp parameters ['x']"),
+                 (["bounds", "--construct", "counterexample:n=6,k=1"],
+                  "unknown counterexample parameters ['k']")]
+        for argv, message in cases:
+            assert run(argv) == (2, ""), argv
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_construct_flag_needs_a_lattice(self, capsys):
+        assert run(["bounds", "--construct", "dihedral:n=4"]) == (2, "")
+        assert capsys.readouterr().err == \
+            "error: construction 'dihedral' does not define a lattice\n"
+
 
 class TestParallelism:
     def test_verify_hrd_jobs_invariance(self):
@@ -337,6 +369,15 @@ class TestParallelism:
         baseline = run(args)[1]
         monkeypatch.setenv("INVLAT_THREADS", "2")
         assert run(args)[1] == baseline
+
+    def test_jobs_only_on_sweeps(self):
+        assert run(["verify", "counterexample", "--n", "6", "--jobs", "2"])[0] == 0
+        assert run(["scan", "--primes", "5", "--m", "2", "-j", "2"])[0] == 0
+        for argv in (["bounds", "--congruence", MOD4], ["minima", "--congruence", MOD4],
+                     ["basis", "--congruence", MOD4], ["construct", "dihedral:n=3"]):
+            with pytest.raises(SystemExit) as exc:
+                run(argv + ["--jobs", "0"])
+            assert exc.value.code == 2
 
     def test_bad_jobs(self):
         assert run(["verify", "hrd", "--n", "1..4", "--jobs", "0"])[0] == 2

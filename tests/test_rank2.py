@@ -1,11 +1,13 @@
 """Staircase machinery on index-n sublattices of Z^2."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from invlat import rank2
 from invlat.degree_bounds import dspan
-from invlat.lattice_core import CongruenceSystem, LatticeBasis, from_congruences, weight
+from invlat.lattice_core import CongruenceSystem, LatticeBasis, from_congruences, l1norm, weight
 from invlat.rank2 import (
     StructureViolation,
     bite_check,
@@ -18,6 +20,9 @@ from invlat.rank2 import (
     sigma,
     staircase_dspan_bound,
 )
+from invlat.sampling import random_congruence_systems
+
+import oracles
 
 
 def kernel(n, coeffs):
@@ -255,6 +260,33 @@ class TestSpotChecks:
     def test_blob_radius_override(self):
         ok, detail = blob_check(kernel(5, (1, 4)), radius=4)
         assert ok and detail["radius"] == 4
+
+    def test_blob_matches_brute_force(self, monkeypatch):
+        # blob_check against a filter over the congruence-only oracle's
+        # members in (norm, lex) order; the planted witnesses dominate many
+        # members, so the first violation found also pins the member order
+        def reference(system, radius, witnesses):
+            members = sorted(oracles.members_up_to(system, radius),
+                             key=lambda p: (l1norm(p), p))
+            for a in members:
+                if weight(a) > 0:
+                    for w in witnesses:
+                        if all(x <= y for x, y in zip(a, w)):
+                            return False, {"point": a, "witness": w}
+            return True, {"witnesses": len(witnesses), "radius": radius}
+
+        radius_for = {2: 24, 3: 12, 4: 7}
+        for system in random_congruence_systems(30, 4, m_choices=(2, 3, 4), n_max=12):
+            L = from_congruences(system)
+            radius = min(2 * L.index, radius_for[system.m])
+            real = list(dspan(L).witnesses.values())
+            assert blob_check(L, radius) == reference(system, radius, real), system
+            planted = [tuple(range(system.m)), (radius // 2,) * system.m]
+            monkeypatch.setattr(rank2, "dspan", lambda L: SimpleNamespace(
+                witnesses=dict(enumerate(planted))))
+            got = blob_check(L, radius)
+            assert got == reference(system, radius, planted), system
+            monkeypatch.undo()
 
     def test_structure_violation_importable(self):
         assert issubclass(StructureViolation, RuntimeError)

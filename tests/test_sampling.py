@@ -5,7 +5,7 @@ import random
 import pytest
 
 from invlat.constructions import is_prime
-from invlat.sampling import random_congruence_systems
+from invlat.sampling import random_congruence_systems, scan_cell_systems
 
 
 class TestRandomSystems:
@@ -46,3 +46,20 @@ class TestRandomSystems:
             random_congruence_systems(-1, seed=0)
         with pytest.raises(ValueError):
             random_congruence_systems(5, seed=0, n_max=3)
+
+
+class TestScanCellSystems:
+    def test_recipe_is_frozen(self):
+        # coefficient rows that `scan --family random` drew for these cells
+        # before the recipe moved here from the CLI
+        pinned = {
+            (5, 2, 3, 0): [(2, 3), (3, 2), (3, 4)],
+            (7, 3, 4, 1): [(2, 4, 3), (5, 6, 4), (4, 1, 2), (3, 4, 5)],
+            (11, 4, 2, 5): [(8, 1, 6, 5), (9, 5, 1, 8)],
+            (13, 6, 3, 42): [(6, 1, 8, 5, 4, 12), (5, 9, 6, 10, 7, 12),
+                             (7, 12, 3, 1, 4, 5)],
+        }
+        for (p, m, samples, seed), rows in pinned.items():
+            systems = scan_cell_systems(p, m, samples, seed)
+            assert [s.moduli for s in systems] == [(p,)] * samples
+            assert [s.coefficients[0] for s in systems] == rows
