@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .ball_enum import lattice_shell_points
 from .degree_bounds import CapExceededError
-from .lattice_core import det_int, integer_kernel, is_generating, l1norm, xgcd
+from .lattice_core import GeneratedLattice, det_int, integer_kernel, is_generating, l1norm, xgcd
 
 
 class DependentInputError(ValueError):
@@ -26,39 +26,6 @@ class DependentInputError(ValueError):
 
 class NoSolutionError(ValueError):
     """No integer solution exists (inputs were not from the lattice)."""
-
-
-class _RankTracker:
-    """Incremental rank of a growing set of integer vectors, exact over Q.
-
-    Fraction-free elimination: a vector is cleared at each pivot by
-    v <- (p / g) v - (c / g) row, with p the row's pivot, c = v[j] and
-    g = gcd(p, c).  That is a nonzero multiple of the rational step, so the
-    pivots, and with them the rank, are those of elimination over Q.
-    """
-
-    def __init__(self, dimension):
-        self.dimension = dimension
-        self._rows = {}
-
-    def try_add(self, vec):
-        v = list(vec)
-        for j in range(self.dimension):
-            if not v[j]:
-                continue
-            row = self._rows.get(j)
-            if row is None:
-                self._rows[j] = v
-                return True
-            g = math.gcd(row[j], v[j])
-            p, c = row[j] // g, v[j] // g
-            for k in range(j, self.dimension):
-                v[k] = p * v[k] - c * row[k]
-        return False
-
-    @property
-    def rank(self):
-        return len(self._rows)
 
 
 @dataclass(frozen=True)
@@ -72,20 +39,22 @@ class SuccessiveMinima:
 def successive_minima(L, cap=None) -> SuccessiveMinima:
     """Exact successive minima of the L1 ball against L.
 
-    The lattice members of each shell are walked outward in lex order; any
-    member that enlarges the span of the vectors collected so far is kept,
-    so the shell radius at the i-th collection is exactly the i-th minimum.
-    index * e_i always lies in L, which makes index a safe default cap.
+    The lattice members of each shell are walked outward in lex order and
+    added to a GeneratedLattice; any member that raises its rank enlarges
+    the span of the vectors collected so far and is kept, so the shell
+    radius at the i-th collection is exactly the i-th minimum.  index * e_i
+    always lies in L, which makes index a safe default cap.
     """
     m = L.dimension
     if cap is None:
         cap = L.index
-    tracker = _RankTracker(m)
+    acc = GeneratedLattice(m)
     values = []
     witnesses = []
     for d in range(1, cap + 1):
         for v in lattice_shell_points(L, d, "all"):
-            if tracker.try_add(v):
+            acc.add(v)
+            if acc.rank > len(values):
                 values.append(d)
                 witnesses.append(v)
                 if len(values) == m:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 
 class InvalidSystemError(ValueError):
@@ -95,6 +96,29 @@ def _gcd_step(carrier, col, j):
             col[k] = aa * t - bb * s
 
 
+def triangular_reduce(basis, v):
+    """Reduce v down the lower-triangular basis.columns; LatticeBasis.reduce.
+
+    basis.columns has one entry per row of Z^basis.dimension: a column that
+    is zero above row i with a positive entry there, or None when no column
+    has its pivot on row i.  Row by row, the floor quotient of that column is
+    subtracted, which leaves row i in [0, pivot) and rows without a pivot as
+    they were.  Two vectors reduce equally iff they differ by a member of the
+    span, and v is a member iff it reduces to zero, so the reduced tuple is a
+    coset key.
+    """
+    if len(v) != basis.dimension:
+        raise ValueError("vector length does not match dimension")
+    r = list(v)
+    for i, col in enumerate(basis.columns):
+        if col is not None:
+            q = r[i] // col[i]
+            if q:
+                for k in range(i, basis.dimension):
+                    r[k] -= q * col[k]
+    return tuple(r)
+
+
 def _echelon(columns, nrows):
     """Column echelon of the mutable *columns* over their first nrows entries.
 
@@ -137,18 +161,16 @@ def hnf_columns(vectors, dimension):
     if any(len(v) != dimension for v in work):
         raise ValueError("vector length does not match dimension")
     pivots, _ = _echelon(work, dimension)
+    below = SimpleNamespace(dimension=dimension, columns=[
+        c if c is None or c[r] > 0 else [-t for t in c] for r, c in enumerate(pivots)])
     pivot_rows = [r for r, c in enumerate(pivots) if c is not None]
-    cols = [pivots[r] if pivots[r][r] > 0 else [-t for t in pivots[r]]
-            for r in pivot_rows]
-    # reduce entries below each diagonal into [0, pivot of their row)
-    for j, col in enumerate(cols):
-        for i in range(j + 1, len(cols)):
-            ri = pivot_rows[i]
-            q = col[ri] // cols[i][ri]
-            if q:
-                for k in range(ri, dimension):
-                    col[k] -= q * cols[i][k]
-    return [tuple(c) for c in cols], pivot_rows
+    cols = []
+    # with its own row and those above blanked, a column reduces its entries
+    # at the pivot rows below into [0, pivot of that row)
+    for r in pivot_rows:
+        col, below.columns[r] = below.columns[r], None
+        cols.append(triangular_reduce(below, col))
+    return cols, pivot_rows
 
 
 def integer_kernel(rows, ncols):
@@ -286,46 +308,18 @@ class LatticeBasis:
         return cls(dimension, cols, 1)
 
     def __contains__(self, v):
-        if len(v) != self.dimension:
-            raise ValueError("vector length does not match dimension")
-        r = list(v)
-        for i, col in enumerate(self.columns):
-            q, rem = divmod(r[i], col[i])
-            if rem:
-                return False
-            if q:
-                for k in range(i, self.dimension):
-                    r[k] -= q * col[k]
-        return True
+        return not any(triangular_reduce(self, v))
 
-    def reduce(self, v):
-        """Canonical coset representative of v in the box prod [0, d_i).
-
-        Two vectors are congruent modulo the lattice iff they reduce equally,
-        which makes the reduced tuple a coset key for a bare lattice.
-        """
-        if len(v) != self.dimension:
-            raise ValueError("vector length does not match dimension")
-        r = list(v)
-        for i, col in enumerate(self.columns):
-            q = r[i] // col[i]
-            if q:
-                for k in range(i, self.dimension):
-                    r[k] -= q * col[k]
-        return tuple(r)
+    # canonical coset representative of v in the box prod [0, d_i)
+    reduce = triangular_reduce
 
     def coords(self, v):
         """Integer coordinates of a lattice member over the canonical columns."""
-        r = list(v)
+        if any(triangular_reduce(self, v)):
+            raise ValueError("vector is not in the lattice")
         out = []
         for i, col in enumerate(self.columns):
-            q, rem = divmod(r[i], col[i])
-            if rem:
-                raise ValueError("vector is not in the lattice")
-            out.append(q)
-            if q:
-                for k in range(i, self.dimension):
-                    r[k] -= q * col[k]
+            out.append((v[i] - sum(q * c[i] for q, c in zip(out, self.columns))) // col[i])
         return out
 
     def to_json(self):
@@ -437,48 +431,37 @@ def drop_trivial_and_duplicates(system) -> CongruenceSystem:
 class GeneratedLattice:
     """Mutable echelon accumulator for the sublattice generated so far.
 
-    Rows are kept keyed by pivot position with positive pivots; adding a
-    vector reduces it against the rows, gcd-updating pivots on the way down.
-    The product of the pivots is the index once the rank is full.  Used for
-    incremental generation testing in shell searches.
+    columns is indexed by pivot row as in triangular_reduce, with positive
+    pivots; adding a vector gcd-updates it against the columns on the way
+    down until it is zero or takes an empty row, which raises rank.  rank is
+    the rank over Q of everything added, and the product of the pivots is
+    the index once the rank is full.  Used for incremental generation and
+    independence tests in shell searches.
     """
 
     def __init__(self, dimension):
         self.dimension = dimension
-        self._by_pivot = {}
-
-    @property
-    def rank(self):
-        return len(self._by_pivot)
+        self.columns = [None] * dimension
+        self.rank = 0
 
     @property
     def index(self):
         if self.rank != self.dimension:
             return None
-        return math.prod(self._by_pivot[j][j] for j in range(self.dimension))
+        return math.prod(self.columns[j][j] for j in range(self.dimension))
 
     def __contains__(self, vec):
-        v = list(vec)
-        for j in range(self.dimension):
-            if not v[j]:
-                continue
-            row = self._by_pivot.get(j)
-            if row is None or v[j] % row[j]:
-                return False
-            q = v[j] // row[j]
-            for k in range(j, self.dimension):
-                v[k] -= q * row[k]
-        return True
+        return not any(triangular_reduce(self, vec))
 
     def add(self, vec):
+        if len(vec) != self.dimension:
+            raise ValueError("vector length does not match dimension")
         v = list(vec)
-        for j in range(self.dimension):
+        for j, col in enumerate(self.columns):
             if not v[j]:
                 continue
-            row = self._by_pivot.get(j)
-            if row is None:
-                if v[j] < 0:
-                    v = [-t for t in v]
-                self._by_pivot[j] = v
+            if col is None:
+                self.columns[j] = v if v[j] > 0 else [-t for t in v]
+                self.rank += 1
                 return
-            _gcd_step(row, v, j)
+            _gcd_step(col, v, j)

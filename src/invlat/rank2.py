@@ -339,13 +339,15 @@ def blob_check(L, radius=None):
 
     A domination a <= w would let w - a represent the same coset at strictly
     smaller norm, contradicting witness minimality; scanned exhaustively for
-    lattice points up to the given radius (default 2 * index).
+    lattice points up to the given radius.  The default, twice the largest
+    witness norm, finds the same first violation as any larger radius: from
+    a <= w and weight(a) > 0, |a+| <= |w| and |a-| < |a+|, so |a| < 2|w|.
     """
-    if radius is None:
-        radius = 2 * L.index
     from .ball_enum import lattice_shell_points
 
     witnesses = list(dspan(L).witnesses.values())
+    if radius is None:
+        radius = 2 * max(map(l1norm, witnesses))
     # lattice_points_up_to's members in order, but not held in one list
     for d in range(radius + 1):
         for a in lattice_shell_points(L, d, "all"):

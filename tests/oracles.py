@@ -107,6 +107,28 @@ def generated_index(vectors, m, stop_at=None):
     return abs(g)
 
 
+def minor_gcd(vectors, m, k):
+    """gcd of all k x k minors of the vectors in Z^m (1 when k = 0)."""
+    g = 0
+    for rows in combinations(vectors, k):
+        for coords in combinations(range(m), k):
+            g = gcd_int(g, det_laplace([[r[c] for c in coords] for r in rows]))
+    return g
+
+
+def in_integer_span(vectors, v, m):
+    """v lies in the Z-span of the vectors in Z^m, of any rank k.
+
+    Adding v to a set of rank k keeps the rank iff v is in the Q-span, and
+    then the gcd of the k x k minors (the product of the invariant factors)
+    shrinks by exactly the index of the old span in the new one.
+    """
+    k = rank_of(vectors)
+    if rank_of(list(vectors) + [v]) != k:
+        return False
+    return minor_gcd(list(vectors) + [v], m, k) == minor_gcd(vectors, m, k)
+
+
 def gcd_int(a, b):
     a, b = abs(a), abs(b)
     while b:

@@ -3,7 +3,7 @@ every format.
 
 `golden_cli.json` holds one entry per command of `COMMANDS` x `FORMATS`,
 recorded from `invlat.cli.main` before the commands shared one output
-emitter.  `CHANGED` lists the outputs that emitter changed on purpose, with
+emitter.  `CHANGED` lists the outputs changed on purpose since then, with
 their new text; every other output must match the recording byte for byte.
 """
 
@@ -50,8 +50,19 @@ FORMATS = ("json", "csv", "pretty")
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
 # csv writes None as an empty cell (hrd groups n = 1, 2 have no
-# non-excluded sublattice), and scan's pretty rows take verify's h=v form
+# non-excluded sublattice), scan's pretty rows take verify's h=v form, and
+# blob's default radius is twice the largest dspan witness norm, not 2 * index
 CHANGED = {
+    "verify blob --random 4 --seed 1 --m 2..3 --nmax 12 -f json": (
+        '{"suite": "blob", "cases": ['
+        '{"system": {"moduli": [12], "coefficients": [[2, 5]]}, "ok": true, '
+        '"detail": {"witnesses": 12, "radius": 10}}, '
+        '{"system": {"moduli": [10], "coefficients": [[8, 9]]}, "ok": true, '
+        '"detail": {"witnesses": 10, "radius": 10}}, '
+        '{"system": {"moduli": [7], "coefficients": [[1, 4, 6]]}, "ok": true, '
+        '"detail": {"witnesses": 7, "radius": 4}}, '
+        '{"system": {"moduli": [10], "coefficients": [[1, 8, 3]]}, "ok": true, '
+        '"detail": {"witnesses": 10, "radius": 6}}], "ok": true}\n'),
     "verify hrd --n 1..6 -f csv": (
         "n,sigma,count,excluded,max_dspan,violations\n"
         "1,1,1,1,,0\n"

@@ -243,6 +243,39 @@ class TestGeneratedLattice:
         acc.add((0, 4))
         assert acc.index == 4
 
+    def test_contains_matches_integer_span_at_every_rank(self):
+        # below full rank some rows have no pivot; a vector with a nonzero
+        # entry there is not in the span, and neither is a rational-only
+        # combination such as half of an added 2v
+        rng = random.Random(6)
+        below_full = 0
+        for _ in range(60):
+            m = rng.randint(2, 4)
+            acc = GeneratedLattice(m)
+            added = []
+            for _ in range(m):
+                v = tuple(rng.choice((1, 2, 3)) * rng.randint(-4, 4) for _ in range(m))
+                acc.add(v)
+                added.append(v)
+                below_full += acc.rank < m
+                for _ in range(8):
+                    coefs = [rng.randint(-2, 2) for _ in added]
+                    combo = [sum(c * w[k] for c, w in zip(coefs, added)) for k in range(m)]
+                    for probe in (combo, [x // 2 for x in combo], [x // 3 for x in combo],
+                                  [rng.randint(-6, 6) for _ in range(m)]):
+                        expected = oracles.in_integer_span(added, tuple(probe), m)
+                        assert (tuple(probe) in acc) == expected, (added, probe)
+        assert below_full > 60
+
+    def test_length_mismatch_raises(self):
+        L = from_congruences(sys_of(4, (1, 3)))
+        acc = GeneratedLattice(2)
+        acc.add((1, 1))
+        for v in ((4,), (4, 0, 7), (1, 1, 5)):
+            for call in (L.coords, L.reduce, L.__contains__, acc.__contains__, acc.add):
+                with pytest.raises(ValueError):
+                    call(v)
+
     def test_is_generating(self):
         L = from_congruences(sys_of(4, (1, 3)))
         assert is_generating(L, [(1, 1), (0, 4)])

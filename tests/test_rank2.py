@@ -254,7 +254,7 @@ class TestSpotChecks:
 
     def test_blob(self):
         ok, detail = blob_check(kernel(5, (1, 4)))
-        assert ok and detail["witnesses"] == 5 and detail["radius"] == 10
+        assert ok and detail["witnesses"] == 5 and detail["radius"] == 4
         assert blob_check(LatticeBasis.from_generators([(3, 1), (0, 2)]))[0]
 
     def test_blob_radius_override(self):
@@ -287,6 +287,33 @@ class TestSpotChecks:
             got = blob_check(L, radius)
             assert got == reference(system, radius, planted), system
             monkeypatch.undo()
+
+    def test_blob_default_radius_finds_the_first_violation(self, monkeypatch):
+        # the default radius, twice the largest witness norm, finds the same
+        # first violation as the radius 2 * index, with the planted
+        # witnesses of test_blob_matches_brute_force
+        def found(result):
+            ok, detail = result
+            return ok, detail.get("point"), detail.get("witness")
+
+        radius_for = {2: 24, 3: 12, 4: 7}
+        for system in random_congruence_systems(30, 4, m_choices=(2, 3, 4), n_max=12):
+            L = from_congruences(system)
+            radius = min(2 * L.index, radius_for[system.m])
+            planted = [tuple(range(system.m)), (radius // 2,) * system.m]
+            monkeypatch.setattr(rank2, "dspan", lambda L: SimpleNamespace(
+                witnesses=dict(enumerate(planted))))
+            default = blob_check(L)
+            assert not default[0], system
+            assert found(default) == found(blob_check(L, 2 * L.index)), system
+            monkeypatch.undo()
+
+    def test_blob_default_radius_reaches_the_bound(self, monkeypatch):
+        # the only weight-positive member under w = (5, 0) is (5, -4), of
+        # norm 2|w| - 1, so the default radius may not be any smaller
+        L = LatticeBasis.from_generators([(5, -4), (0, 100)])
+        monkeypatch.setattr(rank2, "dspan", lambda L: SimpleNamespace(witnesses={0: (5, 0)}))
+        assert blob_check(L) == (False, {"point": (5, -4), "witness": (5, 0)})
 
     def test_structure_violation_importable(self):
         assert issubclass(StructureViolation, RuntimeError)
