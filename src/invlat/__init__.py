@@ -2,9 +2,10 @@
 representations of finite abelian groups.
 
 The lattice of invariant Laurent monomials is the kernel of a congruence
-system; dspan, bfield and bfieldr are computed by exact shell search over
-the L1 ball, and the geometry-of-numbers layer provides successive minima,
-short bases and basis completion with proven norm bounds.
+system; bfield and bfieldr are computed by exact shell search over the L1
+ball and dspan by a breadth-first search over the cosets Z^m/L, and the
+geometry-of-numbers layer provides successive minima, short bases and basis
+completion with proven norm bounds.
 """
 
 from .ball_enum import lattice_points_up_to, points_up_to, shell_count, shell_points

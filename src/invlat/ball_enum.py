@@ -1,9 +1,10 @@
 """Enumeration of integer points by L1 shells.
 
 Shells of the cross-polytope are walked in lexicographic order, either over
-all orthants or restricted to the nonnegative orthant.  Every search in the
-degree-bound machinery consumes points in exactly this order, which is what
-pins down witness tie-breaking.
+all orthants or restricted to the nonnegative orthant.  The bfield,
+bfieldr and successive-minima searches consume points in exactly this order,
+which is what pins down witness tie-breaking; the dspan search reproduces
+the same order without walking shells.
 
 The searches walk lattice members directly: lattice_shell_points yields the
 members of L on a shell in the same shell-then-lex order, carrying the

@@ -189,14 +189,12 @@ def cmd_bounds(args):
     pretty = [f"index {L.index}, dimension {system.m}, moduli {list(system.moduli)}"]
     for w in which:
         rep = reports[w]
-        bounds[w] = rep.to_jsonable()
+        # key coset witnesses by the congruence labels, not box residues
+        bounds[w] = rep.to_jsonable(system.label)
         pretty.append(f"{w} = {rep.value}  [cap {rep.search_cap}]")
         if w == "dspan":
-            # key coset witnesses by the congruence labels, not box residues
-            labelled = {",".join(str(r) for r in system.label(v)): v
-                        for v in rep.witnesses.values()}
-            bounds[w]["witnesses"] = labelled
-            pretty += [f"  label {lab}: {vec_str(v)}" for lab, v in labelled.items()]
+            pretty += [f"  label {lab}: {vec_str(v)}"
+                       for lab, v in bounds[w]["witnesses"].items()]
         else:
             pretty.append("  witnesses: " + " ".join(vec_str(v) for v in rep.witnesses))
     payload = {"input": system.to_jsonable(), "index": L.index, "bounds": bounds}

@@ -1,6 +1,6 @@
 """Exact degree bounds of a full-rank lattice L in Z^m.
 
-Three quantities, each found by exhaustive shell search with proven caps:
+Three quantities, each found by an exhaustive search with proven caps:
 
 * dspan(L): least d such that the nonnegative points of norm <= d hit every
   coset of L in Z^m.  At most index - 1.
@@ -10,8 +10,10 @@ Three quantities, each found by exhaustive shell search with proven caps:
 
 Values are exact, not bounds; witnesses are deterministic, the first hit in
 shell-then-lexicographic order.  bfield and bfieldr walk the lattice members
-of each shell directly (ball_enum.lattice_shell_points), in that same order;
-dspan walks every nonnegative point, since each one keys a coset.
+of each shell directly (ball_enum.lattice_shell_points), in that same order.
+dspan is a breadth-first search over the cosets Z^m/L, one layer per norm,
+whose witnesses are the minimal-norm, lexicographically least
+representatives: the points a walk of the nonnegative shells would hit first.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .ball_enum import lattice_shell_points, shell_points
+from .ball_enum import lattice_shell_points
 from .lattice_core import GeneratedLattice
 
 
@@ -48,10 +50,13 @@ class DegreeBoundReport:
     index: int
     search_cap: int
 
-    def to_jsonable(self):
+    def to_jsonable(self, label=None):
+        """JSON-ready dict.  label, a function of a vector such as
+        CongruenceSystem.label, keys dspan witnesses by label(witness) in
+        place of their box residues."""
         if self.which == "dspan":
             wit = {
-                ",".join(str(t) for t in key): list(vec)
+                ",".join(map(str, label(vec) if label else key)): list(vec)
                 for key, vec in self.witnesses.items()
             }
         else:
@@ -69,24 +74,42 @@ class DegreeBoundReport:
 
 
 def dspan(L, cap=None) -> DegreeBoundReport:
-    """Spanning degree: shells of nonnegative points, keyed by coset.
+    """Spanning degree: breadth-first search over the cosets Z^m/L.
 
-    The first nonnegative point seen in each coset is its minimal-norm,
-    lexicographically least representative; the answer is the shell on which
-    the last of the index cosets is first covered.
+    The least norm of a nonnegative point in a coset is its distance from 0
+    in the Cayley digraph of Z^m/L on the unit vectors, so dspan is the
+    eccentricity of 0, found in at most m*index reductions.  Layer d+1
+    steps each coset k of layer d by every e_i; a coset reached for the
+    first time keeps the lexicographically least candidate w(k) + e_i.
+
+    That candidate is the minimal-norm, lexicographically least
+    representative: such a representative v has some v_i > 0, and v - e_i is
+    minimal for its own coset, so v >=lex w(k) + e_i for that k.  Each layer
+    is stored sorted by witness, which is shell-then-lexicographic order.
     """
     if cap is None:
         cap = L.index - 1
-    target = L.index
-    seen = {}
-    for d in range(cap + 1):
-        for v in shell_points(L.dimension, d, "nonnegative"):
-            key = L.reduce(v)
-            if key not in seen:
-                seen[key] = v
-        if len(seen) == target:
-            return DegreeBoundReport("dspan", d, seen, L.index, cap)
-    raise CapExceededError("dspan", cap)
+    zero = (0,) * L.dimension
+    seen = {zero: zero}
+    layer = list(seen.items())
+    d = 0
+    while len(seen) < L.index and d < cap:
+        reached = {}
+        for key, w in layer:
+            for i in range(L.dimension):
+                nxt = L.reduce(key[:i] + (key[i] + 1,) + key[i + 1:])
+                if nxt in seen:
+                    continue
+                cand = w[:i] + (w[i] + 1,) + w[i + 1:]
+                if nxt not in reached or cand < reached[nxt]:
+                    reached[nxt] = cand
+        layer = sorted(reached.items(), key=lambda item: item[1])
+        seen.update(layer)
+        d += 1
+    # d > cap only for a negative cap, which every dspan >= 0 exceeds
+    if len(seen) < L.index or d > cap:
+        raise CapExceededError("dspan", cap)
+    return DegreeBoundReport("dspan", d, seen, L.index, cap)
 
 
 def _generation_search(L, mode, which, cap):

@@ -22,11 +22,16 @@ def nonneg_points(m, radius):
             yield p
 
 
-def satisfies(system, v):
-    return all(
-        sum(a * x for a, x in zip(row, v)) % n == 0
+def label(system, v):
+    """Residue tuple of the congruence values of v: its coset label."""
+    return tuple(
+        sum(a * x for a, x in zip(row, v)) % n
         for n, row in zip(system.moduli, system.coefficients)
     )
+
+
+def satisfies(system, v):
+    return not any(label(system, v))
 
 
 def members_up_to(system, radius, mode="all"):
@@ -141,10 +146,20 @@ def oracle_dspan(system, cap=None):
     order = subgroup_order(system)
     cap = order - 1 if cap is None else cap
     for d in range(0, cap + 1):
-        labels = {system.label(p) for p in nonneg_points(system.m, d)}
+        labels = {label(system, p) for p in nonneg_points(system.m, d)}
         if len(labels) == order:
             return d
     raise AssertionError("dspan oracle exceeded its cap")
+
+
+def dspan_witnesses(system):
+    """{label: least nonnegative point of that label}, least by (norm, point),
+    in the order the labels are first hit."""
+    points = sorted(nonneg_points(system.m, oracle_dspan(system)), key=lambda p: (sum(p), p))
+    out = {}
+    for p in points:
+        out.setdefault(label(system, p), p)
+    return out
 
 
 def oracle_generation(system, mode, cap=None):

@@ -2,9 +2,12 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from invlat.ball_enum import shell_points
 from invlat.degree_bounds import (
     CapExceededError,
+    DegreeBoundReport,
     bfield,
     bfieldr,
     dspan,
@@ -17,6 +20,64 @@ import oracles
 
 def kernel(n, row):
     return from_congruences(CongruenceSystem((n,), (tuple(row),)))
+
+
+def shell_dspan(L, cap=None):
+    """Reference dspan: every nonnegative point, shell by shell in lex order,
+    keyed by its coset; the first point seen in a coset is its witness."""
+    if cap is None:
+        cap = L.index - 1
+    target = L.index
+    seen = {}
+    for d in range(cap + 1):
+        for v in shell_points(L.dimension, d, "nonnegative"):
+            key = L.reduce(v)
+            if key not in seen:
+                seen[key] = v
+        if len(seen) == target:
+            return DegreeBoundReport("dspan", d, seen, L.index, cap)
+    raise CapExceededError("dspan", cap)
+
+
+def outcome(search, L, cap):
+    """Everything a dspan call shows: the full report with its witness dict
+    in order, or the cap error."""
+    try:
+        rep = search(L, cap=cap)
+    except CapExceededError as exc:
+        return ("cap", exc.which, exc.cap)
+    return (rep.which, rep.value, rep.index, rep.search_cap, list(rep.witnesses.items()))
+
+
+def seeded_systems(count, seed):
+    """Systems with m in 1..5 and one or two rows of small moduli."""
+    rng = random.Random(seed)
+    systems = []
+    for _ in range(count):
+        m = rng.randint(1, 5)
+        moduli = tuple(rng.randint(2, 13) for _ in range(rng.randint(1, 2)))
+        rows = tuple(tuple(rng.randrange(n) for _ in range(m)) for n in moduli)
+        systems.append(CongruenceSystem(moduli, rows))
+    return systems
+
+
+def seeded_bases(count, seed):
+    """Bare full-rank bases from random generators, m in 1..4."""
+    rng = random.Random(seed)
+    bases = []
+    while len(bases) < count:
+        m = rng.randint(1, 4)
+        gens = [tuple(rng.randint(-4, 4) for _ in range(m)) for _ in range(m)]
+        try:
+            L = LatticeBasis.from_generators(gens, m)
+        except ValueError:
+            continue
+        if 2 <= L.index <= 80:
+            bases.append(L)
+    return bases
+
+
+CAPS = (None, 0, 1, 2, 3, 4, 5, 6)
 
 
 class TestDspan:
@@ -60,6 +121,14 @@ class TestDspan:
         assert exc.value.which == "dspan"
         assert exc.value.cap == 1
 
+    def test_negative_cap_raises(self):
+        # dspan >= 0 lies above any negative cap, even on a lattice of index 1
+        for L in (LatticeBasis.identity(3), kernel(4, (1, 3))):
+            for cap in (-1, -3):
+                with pytest.raises(CapExceededError) as exc:
+                    dspan(L, cap=cap)
+                assert (exc.value.which, exc.value.cap) == ("dspan", cap)
+
     def test_against_oracle(self):
         rng = random.Random(22)
         for _ in range(30):
@@ -67,6 +136,60 @@ class TestDspan:
             n = rng.randint(m + 1, 16)
             system = CongruenceSystem((n,), (tuple(rng.sample(range(1, n), m)),))
             assert dspan(from_congruences(system)).value == oracles.oracle_dspan(system)
+
+    def test_label_keyed_witnesses_match_oracle(self):
+        # the CLI's label-keyed dict, in order, against brute force
+        for system in seeded_systems(80, 26):
+            rep = dspan(from_congruences(system))
+            expected = {",".join(map(str, lab)): list(p)
+                        for lab, p in oracles.dspan_witnesses(system).items()}
+            assert list(rep.to_jsonable(system.label)["witnesses"].items()) == \
+                list(expected.items())
+
+
+class TestDspanAgainstShellSearch:
+    def test_seeded_systems(self):
+        for system in seeded_systems(220, 27):
+            L = from_congruences(system)
+            for cap in CAPS:
+                assert outcome(dspan, L, cap) == outcome(shell_dspan, L, cap), (system, cap)
+
+    def test_bare_bases(self):
+        for L in seeded_bases(80, 28):
+            for cap in CAPS:
+                assert outcome(dspan, L, cap) == outcome(shell_dspan, L, cap), (L, cap)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.data())
+    def test_property(self, data):
+        m = data.draw(st.integers(1, 5), label="m")
+        r = data.draw(st.integers(1, 2), label="rows")
+        moduli = tuple(data.draw(st.lists(st.integers(2, 12), min_size=r, max_size=r),
+                                 label="moduli"))
+        rows = tuple(
+            tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m),
+                            label="row"))
+            for n in moduli)
+        cap = data.draw(st.one_of(st.none(), st.integers(-2, 8)), label="cap")
+        L = from_congruences(CongruenceSystem(moduli, rows))
+        assert outcome(dspan, L, cap) == outcome(shell_dspan, L, cap)
+
+    @pytest.mark.parametrize("n, row", [(1399, (1, 1398)), (401, (1, 2, 398))])
+    def test_reduce_calls_at_most_m_index_plus_one(self, monkeypatch, n, row):
+        # timing-free work gate: the shell search made about 245,000
+        # reductions on the first lattice
+        L = kernel(n, row)
+        calls = [0]
+        reduce = LatticeBasis.reduce
+
+        def counting(self, v):
+            calls[0] += 1
+            return reduce(self, v)
+
+        monkeypatch.setattr(LatticeBasis, "reduce", counting)
+        rep = dspan(L)
+        assert len(rep.witnesses) == L.index
+        assert L.index <= calls[0] <= len(row) * L.index + 1
 
 
 class TestBfield:
