@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 from functools import partial
 from typing import NamedTuple
 
@@ -24,13 +25,14 @@ BOUND_FUNCS = {"dspan": dspan, "bfield": bfield, "bfieldr": bfieldr}
 
 class Result(NamedTuple):
     """What a command computed, in every output form: the json payload, the
-    csv header and rows, the pretty lines, and the violations a verification
-    suite found."""
+    csv header and rows, the pretty lines (any iterable, so a generator
+    builds them only when they are written), and the violations a
+    verification suite found."""
 
     payload: dict
     header: list
     rows: list
-    pretty: list
+    pretty: Iterable
     violations: tuple = ()
 
 
@@ -185,21 +187,23 @@ def cmd_bounds(args):
         if w not in BOUND_FUNCS:
             raise ValueError(f"unknown bound {w!r}")
     reports = {w: BOUND_FUNCS[w](L, cap=args.cap) for w in which}
-    bounds = {}
-    pretty = [f"index {L.index}, dimension {system.m}, moduli {list(system.moduli)}"]
-    for w in which:
-        rep = reports[w]
-        # key coset witnesses by the congruence labels, not box residues
-        bounds[w] = rep.to_jsonable(system.label)
-        pretty.append(f"{w} = {rep.value}  [cap {rep.search_cap}]")
-        if w == "dspan":
-            pretty += [f"  label {lab}: {vec_str(v)}"
-                       for lab, v in bounds[w]["witnesses"].items()]
-        else:
-            pretty.append("  witnesses: " + " ".join(vec_str(v) for v in rep.witnesses))
+    # key coset witnesses by the congruence labels, not box residues
+    bounds = {w: reports[w].to_jsonable(system.label) for w in which}
+
+    def pretty():
+        # a generator: the per-coset lines are built only for pretty output
+        yield f"index {L.index}, dimension {system.m}, moduli {list(system.moduli)}"
+        for w in which:
+            rep = reports[w]
+            yield f"{w} = {rep.value}  [cap {rep.search_cap}]"
+            if w == "dspan":
+                for lab, v in bounds[w]["witnesses"].items():
+                    yield f"  label {lab}: {vec_str(v)}"
+            else:
+                yield "  witnesses: " + " ".join(vec_str(v) for v in rep.witnesses)
     payload = {"input": system.to_jsonable(), "index": L.index, "bounds": bounds}
     rows = [(w, reports[w].value, L.index, reports[w].search_cap) for w in which]
-    return Result(payload, ["which", "value", "index", "search_cap"], rows, pretty)
+    return Result(payload, ["which", "value", "index", "search_cap"], rows, pretty())
 
 
 # ------------------------------------------------------------------- minima

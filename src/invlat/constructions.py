@@ -9,7 +9,7 @@ checked on the abelian restriction lattice.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 from .ball_enum import shell_points
@@ -203,16 +203,7 @@ class CounterexampleReport:
                 and self.vectors_in_lattice and self.d_matches)
 
     def to_jsonable(self):
-        return {
-            "n": self.n,
-            "bfieldr": self.bfieldr,
-            "half": self.half,
-            "bound": self.bound,
-            "vectors_in_lattice": self.vectors_in_lattice,
-            "d_vector": list(self.d_vector),
-            "d_matches": self.d_matches,
-            "ok": self.ok,
-        }
+        return dict(asdict(self), ok=self.ok)
 
     def to_json(self):
         return json.dumps(self.to_jsonable())

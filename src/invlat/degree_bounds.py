@@ -40,8 +40,8 @@ class DegreeBoundReport:
 
     witnesses is a dict {coset key: minimal nonnegative representative} for
     dspan and a tuple of generating vectors for bfield/bfieldr.  Keys are the
-    canonical box residues of L.reduce; the CLI re-keys them by congruence
-    labels when the lattice came from a system.
+    canonical box residues of L.reduce; congruence labels, when the lattice
+    came from a system, come through to_jsonable(label).
     """
 
     which: str

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 
 class InvalidSystemError(ValueError):
@@ -119,32 +118,55 @@ def triangular_reduce(basis, v):
     return tuple(r)
 
 
-def _echelon(columns, nrows):
-    """Column echelon of the mutable *columns* over their first nrows entries.
+def echelon_add(acc, vec):
+    """Add vec to the echelon accumulator acc; GeneratedLattice.add.
 
-    Row by row, the first column with a nonzero entry there becomes that
-    row's pivot and _gcd_step clears the entry from every later column; a
-    column that becomes zero is dropped.  Returns (pivots, rest): pivots[row]
-    is the pivot column of each row, or None, and rest holds the columns that
-    are zero in all of the first nrows entries.
+    Row by row, vec is cleared against the pivot column of each row it is
+    nonzero on (_gcd_step) until it is zero or reaches a row without a
+    pivot, where it becomes that row's column, negated if needed so the
+    pivot is positive, and acc.rank grows by one.  Every step is unimodular,
+    so the columns keep spanning everything added.  hnf_columns,
+    integer_kernel and is_generating call it directly, so a profiler that
+    rebinds GeneratedLattice.add counts only the searches' adds.
     """
-    pivots = []
-    for row in range(nrows):
-        carrier = None
-        rest = []
-        for col in columns:
-            if col[row] == 0:
-                rest.append(col)
-                continue
-            if carrier is None:
-                carrier = col
-                continue
-            _gcd_step(carrier, col, row)
-            if any(col[k] for k in range(row + 1, len(col))):
-                rest.append(col)
-        pivots.append(carrier)
-        columns = rest
-    return pivots, columns
+    if len(vec) != acc.dimension:
+        raise ValueError("vector length does not match dimension")
+    v = list(vec)
+    for j, col in enumerate(acc.columns):
+        if not v[j]:
+            continue
+        if col is None:
+            acc.columns[j] = v if v[j] > 0 else [-t for t in v]
+            acc.rank += 1
+            return
+        _gcd_step(col, v, j)
+
+
+class GeneratedLattice:
+    """Mutable echelon accumulator for the sublattice generated so far.
+
+    columns is indexed by pivot row as in triangular_reduce, with positive
+    pivots, and grows by echelon_add.  rank is the rank over Q of everything
+    added, and the product of the pivots is the index once the rank is full.
+    Used for incremental generation and independence tests in shell
+    searches, and under hnf_columns, integer_kernel and is_generating.
+    """
+
+    def __init__(self, dimension):
+        self.dimension = dimension
+        self.columns = [None] * dimension
+        self.rank = 0
+
+    @property
+    def index(self):
+        if self.rank != self.dimension:
+            return None
+        return math.prod(self.columns[j][j] for j in range(self.dimension))
+
+    def __contains__(self, vec):
+        return not any(triangular_reduce(self, vec))
+
+    add = echelon_add
 
 
 def hnf_columns(vectors, dimension):
@@ -157,36 +179,33 @@ def hnf_columns(vectors, dimension):
     full-rank input pivot_rows == [0..dimension-1] and the form is the unique
     canonical basis, so structural equality decides lattice equality.
     """
-    work = [list(v) for v in vectors if any(v)]
-    if any(len(v) != dimension for v in work):
-        raise ValueError("vector length does not match dimension")
-    pivots, _ = _echelon(work, dimension)
-    below = SimpleNamespace(dimension=dimension, columns=[
-        c if c is None or c[r] > 0 else [-t for t in c] for r, c in enumerate(pivots)])
-    pivot_rows = [r for r, c in enumerate(pivots) if c is not None]
+    acc = GeneratedLattice(dimension)
+    for v in vectors:
+        echelon_add(acc, v)
+    pivot_rows = [r for r, c in enumerate(acc.columns) if c is not None]
     cols = []
     # with its own row and those above blanked, a column reduces its entries
     # at the pivot rows below into [0, pivot of that row)
     for r in pivot_rows:
-        col, below.columns[r] = below.columns[r], None
-        cols.append(triangular_reduce(below, col))
+        col, acc.columns[r] = acc.columns[r], None
+        cols.append(triangular_reduce(acc, col))
     return cols, pivot_rows
 
 
 def integer_kernel(rows, ncols):
     """Z-basis of {x in Z^ncols : M x = 0} for the integer matrix with *rows*.
 
-    Column j of M is stacked over e_j and the echelon runs over the M block
-    only.  The steps are unimodular, so the identity block stays a basis of
-    Z^ncols, no column is ever dropped, and the identity-block tails of the
-    columns whose M block became zero are a basis of the kernel lattice (not
-    merely a spanning set).
+    Column j of M is stacked over e_j and added to one accumulator.  The
+    stacked columns are independent and the steps unimodular, so the final
+    columns are a basis of the stacked lattice, and the identity-block tails
+    of those whose pivot row is below the M block are a basis of the kernel
+    lattice (not merely a spanning set).
     """
     ncon = len(rows)
-    cols = [[row[j] for row in rows] + [1 if k == j else 0 for k in range(ncols)]
-            for j in range(ncols)]
-    _, rest = _echelon(cols, ncon)
-    return [tuple(c[ncon:]) for c in rest]
+    acc = GeneratedLattice(ncon + ncols)
+    for j in range(ncols):
+        echelon_add(acc, [row[j] for row in rows] + [1 if k == j else 0 for k in range(ncols)])
+    return [tuple(c[ncon:]) for c in acc.columns[ncon:] if c is not None]
 
 
 def _is_int(x):
@@ -364,14 +383,10 @@ def from_congruences(system) -> LatticeBasis:
 def is_generating(L, vectors):
     """True iff *vectors* all lie in L and generate it over Z."""
     vs = [tuple(v) for v in vectors]
-    if any(len(v) != L.dimension for v in vs):
-        raise ValueError("vector length does not match dimension")
-    if not all(v in L for v in vs):
-        return False
-    cols, _ = hnf_columns(vs, L.dimension)
-    if len(cols) != L.dimension:
-        return False
-    return math.prod(cols[i][i] for i in range(L.dimension)) == L.index
+    acc = GeneratedLattice(L.dimension)
+    for v in vs:
+        echelon_add(acc, v)
+    return all(v in L for v in vs) and acc.index == L.index
 
 
 @dataclass(frozen=True)
@@ -426,42 +441,3 @@ def drop_trivial_and_duplicates(system) -> CongruenceSystem:
         raise AllColumnsRemovedError("every column is trivial or duplicate")
     rows = tuple(tuple(row[j] for j in keep) for row in system.coefficients)
     return CongruenceSystem(system.moduli, rows)
-
-
-class GeneratedLattice:
-    """Mutable echelon accumulator for the sublattice generated so far.
-
-    columns is indexed by pivot row as in triangular_reduce, with positive
-    pivots; adding a vector gcd-updates it against the columns on the way
-    down until it is zero or takes an empty row, which raises rank.  rank is
-    the rank over Q of everything added, and the product of the pivots is
-    the index once the rank is full.  Used for incremental generation and
-    independence tests in shell searches.
-    """
-
-    def __init__(self, dimension):
-        self.dimension = dimension
-        self.columns = [None] * dimension
-        self.rank = 0
-
-    @property
-    def index(self):
-        if self.rank != self.dimension:
-            return None
-        return math.prod(self.columns[j][j] for j in range(self.dimension))
-
-    def __contains__(self, vec):
-        return not any(triangular_reduce(self, vec))
-
-    def add(self, vec):
-        if len(vec) != self.dimension:
-            raise ValueError("vector length does not match dimension")
-        v = list(vec)
-        for j, col in enumerate(self.columns):
-            if not v[j]:
-                continue
-            if col is None:
-                self.columns[j] = v if v[j] > 0 else [-t for t in v]
-                self.rank += 1
-                return
-            _gcd_step(col, v, j)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .degree_bounds import dspan
 from .lattice_core import LatticeBasis, l1norm, weight
@@ -27,26 +27,30 @@ def find_H(L):
     """Extremal second-quadrant point: least positive a2 with a lattice point
     (a1, a2), a1 <= 0, of positive weight; ties resolved toward a1 = 0.
 
-    (0, index) is always a candidate, which bounds the scan.
+    Read off the Hermite columns (a, b), (0, d): the points with
+    a1 = -a*t are those with a2 = -b*t mod d, and the least such a2 > a*t is
+    a*t + 1 + (-b*t - a*t - 1) mod d.  (0, d) is always a candidate, so only
+    t < ceil(d / a) can do better.
     """
     if L.dimension != 2:
         raise ValueError("staircase machinery works on sublattices of Z^2")
-    for a2 in range(1, L.index + 1):
-        for a1 in range(0, -a2, -1):
-            if (a1, a2) in L:
-                return (a1, a2)
-    raise RuntimeError("scan passed the index bound without a hit")
+    (a, b), (_, d) = L.columns
+    a2, t = min((a * t + 1 + (-b * t - a * t - 1) % d, t) for t in range(-(-d // a)))
+    return (-a * t, a2)
 
 
 def find_E(L):
-    """Mirror of find_H into the fourth quadrant (swap coordinate roles)."""
+    """Mirror of find_H into the fourth quadrant (swap coordinate roles).
+
+    The points with a1 = a*t have a2 = b*t mod d; the largest a2 <= 0 is
+    -((-b*t) mod d), of positive weight iff (-b*t) mod d < a*t, which holds
+    by t = d at the latest.
+    """
     if L.dimension != 2:
         raise ValueError("staircase machinery works on sublattices of Z^2")
-    for a1 in range(1, L.index + 1):
-        for a2 in range(0, -a1, -1):
-            if (a1, a2) in L:
-                return (a1, a2)
-    raise RuntimeError("scan passed the index bound without a hit")
+    (a, b), (_, d) = L.columns
+    t = next(t for t in range(1, d + 1) if (-b * t) % d < a * t)
+    return (a * t, -((-b * t) % d))
 
 
 def _cross(o, p, q):
@@ -237,20 +241,6 @@ class HrdRow:
     staircase_bound: object
     notes: tuple
 
-    def to_jsonable(self):
-        return {
-            "n": self.n,
-            "a": self.a,
-            "b": self.b,
-            "d": self.d,
-            "excluded": self.excluded,
-            "dspan": self.dspan,
-            "bound_ok": self.bound_ok,
-            "forms_basis": self.forms_basis,
-            "staircase_bound": self.staircase_bound,
-            "notes": list(self.notes),
-        }
-
 
 @dataclass(frozen=True)
 class HrdReport:
@@ -266,19 +256,8 @@ class HrdReport:
     def ok(self):
         return not self.violations
 
-    def to_jsonable(self):
-        return {
-            "n": self.n,
-            "sigma": self.sigma,
-            "count": self.count,
-            "excluded_count": self.excluded_count,
-            "max_dspan_nonexcluded": self.max_dspan_nonexcluded,
-            "violations": list(self.violations),
-            "rows": [r.to_jsonable() for r in self.rows],
-        }
-
     def to_json(self):
-        return json.dumps(self.to_jsonable())
+        return json.dumps(asdict(self))
 
 
 def hrd_verify(n, mode="all", jobs=1) -> HrdReport:

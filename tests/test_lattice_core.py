@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invlat.lattice_core import (
     AllColumnsRemovedError,
@@ -56,6 +57,33 @@ class TestHelpers:
                 rng.shuffle(gens)
                 again = LatticeBasis.from_generators(gens)
                 assert again == L
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(st.data())
+    def test_hnf_rank_deficient_property(self, data):
+        # inputs drawn from the span of fewer than m vectors, so rank < m
+        m = data.draw(st.integers(1, 4), label="m")
+        entry = st.integers(-5, 5)
+        base = data.draw(st.lists(st.tuples(*[entry] * m), max_size=m - 1), label="base")
+        coef = st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base))
+        vectors = [tuple(sum(c * b[k] for c, b in zip(cs, base)) for k in range(m))
+                   for cs in data.draw(st.lists(coef, max_size=5), label="coefficients")]
+        cols, pivot_rows = hnf_columns(vectors, m)
+        for v in vectors:
+            assert oracles.in_integer_span(cols, v, m)
+        for c in cols:
+            assert oracles.in_integer_span(vectors, c, m)
+        # canonical shape: one column per pivot row, rows ascending, zero
+        # above the pivot, positive pivot, reduced below other pivots
+        assert len(cols) == len(pivot_rows) == oracles.rank_of(vectors)
+        assert pivot_rows == sorted(set(pivot_rows))
+        for c, r in zip(cols, pivot_rows):
+            assert len(c) == m and not any(c[:r]) and c[r] > 0
+            for c2, r2 in zip(cols, pivot_rows):
+                if r2 > r:
+                    assert 0 <= c[r2] < c2[r2]
+        shuffled = data.draw(st.permutations(vectors), label="shuffled")
+        assert hnf_columns(shuffled, m) == (cols, pivot_rows)
 
 
 class TestIntegerKernel:
@@ -166,6 +194,10 @@ class TestLatticeBasis:
     def test_from_generators_rejects_rank_deficit(self):
         with pytest.raises(ValueError):
             LatticeBasis.from_generators([(1, 1), (2, 2)])
+
+    def test_from_generators_rejects_wrong_length_zero_vector(self):
+        with pytest.raises(ValueError):
+            LatticeBasis.from_generators([(1, 0), (0, 0, 0), (0, 2)])
 
     def test_identity(self):
         E = LatticeBasis.identity(3)

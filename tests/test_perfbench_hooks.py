@@ -60,3 +60,21 @@ def test_tracer_counts_hot_calls_and_restores_every_name():
         assert tracer.stats[name][0] > 0, name
     after = bindings()
     assert [k for k in rebound if after.get(k) is not before.get(k)] == []
+
+
+def test_hnf_and_kernel_work_is_not_charged_to_the_accumulator():
+    # hnf_columns and integer_kernel run on the echelon step itself, not on
+    # the GeneratedLattice.add the tracer rebinds, so a dspan run (which
+    # adds nothing to an accumulator) counts HNF calls and no adds
+    tracer = load_tracer().Tracer()
+    tracer.install(invlat)
+    try:
+        code = invlat.cli.main(
+            ["bounds", "--which", "dspan", "--congruence",
+             '{"moduli":[7],"coefficients":[[1,2,4]]}', "-f", "json"],
+            io.StringIO())
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.stats["lattice_core.hnf"][0] > 0
+    assert tracer.stats["lattice_core.generated.add"][0] == 0

@@ -33,6 +33,25 @@ def swapped(L):
     return LatticeBasis.from_generators([(c[1], c[0]) for c in L.columns])
 
 
+def scan_H(L):
+    """Reference find_H: scan a2 = 1, 2, ... and, for each, a1 = 0, -1, ...
+    down to the weight-positive edge, testing membership."""
+    for a2 in range(1, L.index + 1):
+        for a1 in range(0, -a2, -1):
+            if (a1, a2) in L:
+                return (a1, a2)
+    raise AssertionError("scan passed the index bound without a hit")
+
+
+def scan_E(L):
+    """Reference find_E: the mirror scan into the fourth quadrant."""
+    for a1 in range(1, L.index + 1):
+        for a2 in range(0, -a1, -1):
+            if (a1, a2) in L:
+                return (a1, a2)
+    raise AssertionError("scan passed the index bound without a hit")
+
+
 class TestFindHE:
     def test_mod5_example(self):
         L = kernel(5, (1, 4))
@@ -61,6 +80,16 @@ class TestFindHE:
                 E = find_E(L)
                 mirrored = find_H(swapped(L))
                 assert E == (mirrored[1], mirrored[0])
+
+    def test_closed_forms_match_scans(self):
+        # every index-n sublattice of Z^2 for n <= 60
+        count = 0
+        for n in range(1, 61):
+            for a, b, d, L in enumerate_sublattices(n):
+                assert find_H(L) == scan_H(L), (a, b, d)
+                assert find_E(L) == scan_E(L), (a, b, d)
+                count += 1
+        assert count == sum(sigma(n) for n in range(1, 61))
 
 
 class TestHeAnalysis:
