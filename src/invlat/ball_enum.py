@@ -9,8 +9,12 @@ the same order without walking shells.
 The searches walk lattice members directly: lattice_shell_points yields the
 members of L on a shell in the same shell-then-lex order, carrying the
 Hermite reduction of each coordinate prefix down the recursion, so
-non-members are never visited.  shell_points followed by `v in L` stays as
-the slow reference it must agree with.
+non-members are never visited.  Besides the full and the nonnegative
+orthant it walks half of the full shell: the members whose first nonzero
+coordinate is negative.  L = -L and -v precedes v in lex order, so a search
+that only asks whether v grows what it has seen loses nothing by skipping v.
+shell_points followed by `v in L` (and, for the half, by the sign of the
+first nonzero coordinate) stays as the slow reference it must agree with.
 """
 
 from __future__ import annotations
@@ -18,11 +22,12 @@ from __future__ import annotations
 from math import gcd
 
 MODES = ("all", "nonnegative")
+LATTICE_MODES = MODES + ("half",)
 
 
-def _check_shell_args(dimension, radius, mode):
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+def _check_shell_args(dimension, radius, mode, modes=MODES):
+    if mode not in modes:
+        raise ValueError(f"mode must be one of {modes}")
     if dimension < 1 or radius < 0:
         raise ValueError("need dimension >= 1 and radius >= 0")
 
@@ -31,7 +36,8 @@ def shell_points(dimension, radius, mode="all"):
     """Yield the points with l1norm == radius, lexicographically ascending.
 
     shell_points(2, 1) gives (-1, 0), (0, -1), (0, 1), (1, 0); in mode
-    "nonnegative" the same shell is (0, 1), (1, 0).
+    "nonnegative" the same shell is (0, 1), (1, 0).  Mode "half" raises
+    ValueError: this walk is the reference the half is checked against.
     """
     _check_shell_args(dimension, radius, mode)
     nonneg = mode == "nonnegative"
@@ -63,26 +69,36 @@ def lattice_shell_points(L, radius, mode="all"):
     """Yield the members of L with l1norm == radius, lexicographically ascending.
 
     Exactly [v for v in shell_points(L.dimension, radius, mode) if v in L],
-    without visiting the non-members.  L.columns is lower triangular, so the
-    Hermite residue of coordinate i depends only on v[0..i]: coordinate i
-    must be congruent to the carried reduction of the prefix modulo the
-    pivot d_i, and each admissible value of it extends the carry by one
-    column.  On the last two coordinates, |x| + |y| = b plus both
-    divisibility conditions leave at most four arithmetic progressions in x
-    (sign of x times sign of y), each solved with one modular inverse.
+    without visiting the non-members; mode "half" keeps of the "all" shell
+    only the members whose first nonzero coordinate is negative.  L.columns
+    is lower triangular, so the Hermite residue of coordinate i depends only
+    on v[0..i]: coordinate i must be congruent to the carried reduction of
+    the prefix modulo the pivot d_i, and each admissible value of it extends
+    the carry by one column.  On the last two coordinates, |x| + |y| = b
+    plus both divisibility conditions leave at most four arithmetic
+    progressions in x (sign of x times sign of y), each solved with one
+    modular inverse.
+
+    The half is pruned in the recursion, not filtered: while the prefix is
+    all zero (free), a coordinate runs over [-budget, 0] only, and the last
+    two drop the x > 0 progressions but keep x = 0, y = -b.
     """
     m = L.dimension
-    _check_shell_args(m, radius, mode)
+    _check_shell_args(m, radius, mode, LATTICE_MODES)
     cols = L.columns
     nonneg = mode == "nonnegative"
+    half = mode == "half"
     if m == 1:
-        d = cols[0][0]
-        if radius % d == 0:
-            if radius == 0 or nonneg:
+        if radius % cols[0][0] == 0:
+            if radius == 0:
+                if not half:
+                    yield (0,)
+            elif nonneg:
                 yield (radius,)
             else:
                 yield (-radius,)
-                yield (radius,)
+                if not half:
+                    yield (radius,)
         return
 
     # Last two coordinates x, y with carries cx, cy: x = cx + D t for an
@@ -99,9 +115,11 @@ def lattice_shell_points(L, radius, mode="all"):
         inverse = pow(alpha // g, -1, period)
         progressions.append((sx, sy, g, period, inverse, D * period))
 
-    def last_two(prefix, b, cx, cy):
+    def last_two(prefix, b, cx, cy, free):
         hits = []
         for sx, sy, g, period, inverse, step in progressions:
+            if free and sx > 0 and sy > 0:
+                continue
             beta = sy * b - sx * sy * cx - cy
             if beta % g:
                 continue
@@ -110,15 +128,17 @@ def lattice_shell_points(L, radius, mode="all"):
             lo, hi = (-b, -1) if sx < 0 else (0, b)
             if sy < 0:
                 lo, hi = (lo + 1, hi) if sx < 0 else (lo, hi - 1)
+            if free and sx > 0:
+                hi = min(hi, 0)
             for x in range(lo + (x0 - lo) % step, hi + 1, step):
                 hits.append((x, sy * (b - sx * x)))
         hits.sort()
         for x, y in hits:
             yield prefix + (x, y)
 
-    def rec(prefix, i, budget, carry):
+    def rec(prefix, i, budget, carry, free):
         if i == m - 2:
-            yield from last_two(prefix, budget, carry[0], carry[1])
+            yield from last_two(prefix, budget, carry[0], carry[1], free)
             return
         col = cols[i]
         d = col[i]
@@ -127,11 +147,12 @@ def lattice_shell_points(L, radius, mode="all"):
         q = (start - carry[0]) // d
         tail = col[i + 1:]
         nxt = [c + q * t for c, t in zip(carry[1:], tail)]
-        for first in range(start, budget + 1, d):
-            yield from rec(prefix + (first,), i + 1, budget - abs(first), nxt)
+        for first in range(start, (0 if free else budget) + 1, d):
+            yield from rec(prefix + (first,), i + 1, budget - abs(first), nxt,
+                           free and first == 0)
             nxt = [c + t for c, t in zip(nxt, tail)]
 
-    yield from rec((), 0, radius, [0] * m)
+    yield from rec((), 0, radius, [0] * m, half)
 
 
 def lattice_points_up_to(L, radius, mode="all"):

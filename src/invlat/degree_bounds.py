@@ -113,6 +113,11 @@ def dspan(L, cap=None) -> DegreeBoundReport:
 
 
 def _generation_search(L, mode, which, cap):
+    """Grow a GeneratedLattice shell by shell until it is L.
+
+    Returns at the add that completes it, mid-shell: every later member of
+    the shell already lies in the accumulator, so none could be a witness.
+    """
     acc = GeneratedLattice(L.dimension)
     witnesses = []
     for d in range(cap + 1):
@@ -120,8 +125,8 @@ def _generation_search(L, mode, which, cap):
             if v not in acc:
                 acc.add(v)
                 witnesses.append(v)
-        if acc.rank == L.dimension and acc.index == L.index:
-            return DegreeBoundReport(which, d, tuple(witnesses), L.index, cap)
+                if acc.index == L.index:
+                    return DegreeBoundReport(which, d, tuple(witnesses), L.index, cap)
     raise CapExceededError(which, cap)
 
 
@@ -137,10 +142,14 @@ def bfield(L, cap=None) -> DegreeBoundReport:
 
 
 def bfieldr(L, cap=None) -> DegreeBoundReport:
-    """Least d with an any-sign generating set of L inside norm d."""
+    """Least d with an any-sign generating set of L inside norm d.
+
+    Walks half of each shell: v and -v generate the same, and -v comes
+    first in lex order whenever v's first nonzero coordinate is positive.
+    """
     if cap is None:
         cap = L.index
-    return _generation_search(L, "all", "bfieldr", cap)
+    return _generation_search(L, "half", "bfieldr", cap)
 
 
 def verify_bound_relations(L):

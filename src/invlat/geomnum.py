@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .ball_enum import lattice_shell_points
 from .degree_bounds import CapExceededError
-from .lattice_core import GeneratedLattice, det_int, integer_kernel, is_generating, l1norm, xgcd
+from .lattice_core import det_int, integer_kernel, is_generating, l1norm, xgcd
 
 
 class DependentInputError(ValueError):
@@ -39,26 +39,30 @@ class SuccessiveMinima:
 def successive_minima(L, cap=None) -> SuccessiveMinima:
     """Exact successive minima of the L1 ball against L.
 
-    The lattice members of each shell are walked outward in lex order and
-    added to a GeneratedLattice; any member that raises its rank enlarges
-    the span of the vectors collected so far and is kept, so the shell
-    radius at the i-th collection is exactly the i-th minimum.  index * e_i
-    always lies in L, which makes index a safe default cap.
+    The lattice members of each shell are walked outward in lex order, and
+    any member outside the span of the vectors collected so far is kept, so
+    the shell radius at the i-th collection is exactly the i-th minimum.
+    The span test is a set of linear forms, a basis of the integer kernel of
+    the witnesses (the identity before the first): v lies outside the span
+    iff some form is nonzero on v.  The forms change only when a witness is
+    kept; at rank m - 1 the one form left is the determinant form.  Only
+    half of each shell is walked: -v spans what v spans and comes first.
+    index * e_i always lies in L, which makes index a safe default cap.
     """
     m = L.dimension
     if cap is None:
         cap = L.index
-    acc = GeneratedLattice(m)
+    forms = integer_kernel([], m)
     values = []
     witnesses = []
     for d in range(1, cap + 1):
-        for v in lattice_shell_points(L, d, "all"):
-            acc.add(v)
-            if acc.rank > len(values):
+        for v in lattice_shell_points(L, d, "half"):
+            if any(sum(a * x for a, x in zip(f, v)) for f in forms):
                 values.append(d)
                 witnesses.append(v)
                 if len(values) == m:
                     return SuccessiveMinima(tuple(values), tuple(witnesses))
+                forms = integer_kernel(witnesses, m)
     raise CapExceededError("successive_minima", cap)
 
 

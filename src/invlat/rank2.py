@@ -59,17 +59,22 @@ def _cross(o, p, q):
 
 def _check_empty_triangle(L, H, E, allowed):
     """No nonzero lattice point may sit in the closed triangle (0, H, E)
-    except the allowed segment points."""
+    except the allowed segment points.
+
+    Walks only the lattice points of the bounding box, column by column,
+    read off the Hermite columns (a, b), (0, d): a1 = a*t, and a2 = b*t
+    mod d in steps of d.
+    """
+    (a, b), (_, d) = L.columns
     O = (0, 0)
-    for a1 in range(H[0], E[0] + 1):
-        for a2 in range(E[1], H[1] + 1):
+    for a1 in range(H[0] + (-H[0]) % a, E[0] + 1, a):
+        for a2 in range(E[1] + (b * (a1 // a) - E[1]) % d, H[1] + 1, d):
             p = (a1, a2)
             if p == O or p in allowed:
                 continue
             if _cross(O, E, p) >= 0 and _cross(E, H, p) >= 0 and _cross(H, O, p) >= 0:
-                if p in L:
-                    raise StructureViolation(
-                        f"lattice point {p} inside triangle 0,{H},{E}")
+                raise StructureViolation(
+                    f"lattice point {p} inside triangle 0,{H},{E}")
 
 
 @dataclass(frozen=True)

@@ -53,12 +53,33 @@ def test_invalid_mode():
         list(shell_points(2, 1, "positive"))
 
 
+def test_reference_walks_reject_half():
+    # the half is a lattice-walker mode; the reference walks must not fall
+    # back to a full shell for it
+    with pytest.raises(ValueError):
+        list(shell_points(2, 1, "half"))
+    with pytest.raises(ValueError):
+        list(points_up_to(3, 2, "half"))
+
+
 def test_lattice_points_up_to():
     system = CongruenceSystem((5,), ((1, 4),))
     L = from_congruences(system)
     got = list(lattice_points_up_to(L, 6, "all"))
     assert got == [p for p in points_up_to(2, 6, "all") if p in L]
     assert (0, 0) in got and (1, 1) in got and (-5, 0) in got
+
+
+def lead(v):
+    """First nonzero coordinate of v, 0 for the zero vector."""
+    return next((t for t in v if t), 0)
+
+
+def assert_half_matches_reference(L, radius):
+    """The "half" walk against the sign-filtered "all" shell walk."""
+    for d in range(radius + 1):
+        slow = [v for v in shell_points(L.dimension, d, "all") if v in L and lead(v) < 0]
+        assert list(lattice_shell_points(L, d, "half")) == slow, (L, d)
 
 
 def assert_walker_matches_references(system, radius):
@@ -72,12 +93,14 @@ def assert_walker_matches_references(system, radius):
         expected = sorted(oracles.members_up_to(system, radius, mode),
                           key=lambda p: (l1norm(p), p))
         assert lattice_points_up_to(L, radius, mode) == expected, (system, mode)
+    assert_half_matches_reference(L, radius)
 
 
 def test_lattice_shell_points_radius_zero():
     L = from_congruences(CongruenceSystem((7,), ((1, 3, 5),)))
     for mode in ("all", "nonnegative"):
         assert list(lattice_shell_points(L, 0, mode)) == [(0, 0, 0)]
+    assert list(lattice_shell_points(L, 0, "half")) == []
     with pytest.raises(ValueError):
         list(lattice_shell_points(L, 1, "positive"))
     with pytest.raises(ValueError):
@@ -120,3 +143,30 @@ def test_lattice_shell_points_property(data):
                         label="row"))
         for n in moduli)
     assert_walker_matches_references(CongruenceSystem(moduli, rows), 5)
+
+
+def test_half_mode_one_dimension():
+    L = from_congruences(CongruenceSystem((6,), ((2,),)))  # 3Z
+    assert [list(lattice_shell_points(L, d, "half")) for d in range(7)] == [
+        [], [], [], [(-3,)], [], [], [(-6,)]]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_half_mode_property(data):
+    # half, its negation and (on shell 0) the zero vector split the "all"
+    # shell, and half is the sign-filtered "all" walk
+    m = data.draw(st.integers(1, 5), label="m")
+    moduli = tuple(data.draw(st.lists(st.integers(2, 40), min_size=1, max_size=2),
+                             label="moduli"))
+    rows = tuple(
+        tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m),
+                        label="row"))
+        for n in moduli)
+    L = from_congruences(CongruenceSystem(moduli, rows))
+    d = data.draw(st.integers(0, 7 if m < 5 else 5), label="radius")
+    half = list(lattice_shell_points(L, d, "half"))
+    negated = [tuple(-t for t in v) for v in half]
+    zero = [(0,) * m] if d == 0 else []
+    assert sorted(half + negated + zero) == list(lattice_shell_points(L, d, "all"))
+    assert_half_matches_reference(L, d)

@@ -1,10 +1,13 @@
 import json
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invlat.ball_enum import shell_points
+from invlat import degree_bounds
+from invlat.ball_enum import lattice_shell_points, shell_points
+from invlat.constructions import SharpCaseSpec, sharp_case_lattice
 from invlat.degree_bounds import (
     CapExceededError,
     DegreeBoundReport,
@@ -13,7 +16,14 @@ from invlat.degree_bounds import (
     dspan,
     verify_bound_relations,
 )
-from invlat.lattice_core import CongruenceSystem, LatticeBasis, from_congruences, is_generating, l1norm
+from invlat.lattice_core import (
+    CongruenceSystem,
+    GeneratedLattice,
+    LatticeBasis,
+    from_congruences,
+    is_generating,
+    l1norm,
+)
 
 import oracles
 
@@ -37,6 +47,38 @@ def shell_dspan(L, cap=None):
         if len(seen) == target:
             return DegreeBoundReport("dspan", d, seen, L.index, cap)
     raise CapExceededError("dspan", cap)
+
+
+def shell_generation_search(L, mode, which, cap=None, walk=lattice_shell_points):
+    """Reference bfield/bfieldr: every member of each whole shell, in mode
+    "nonnegative" or "all", offered to a GeneratedLattice; the completion
+    test runs once per shell."""
+    if cap is None:
+        cap = L.index
+    acc = GeneratedLattice(L.dimension)
+    witnesses = []
+    for d in range(cap + 1):
+        for v in walk(L, d, mode):
+            if v not in acc:
+                acc.add(v)
+                witnesses.append(v)
+        if acc.rank == L.dimension and acc.index == L.index:
+            return DegreeBoundReport(which, d, tuple(witnesses), L.index, cap)
+    raise CapExceededError(which, cap)
+
+
+def generation_outcome(search, L, cap):
+    """Everything a bfield/bfieldr call shows: the full report or the cap
+    error."""
+    try:
+        rep = search(L, cap=cap)
+    except CapExceededError as exc:
+        return ("cap", exc.which, exc.cap)
+    return (rep.which, rep.value, rep.index, rep.search_cap, rep.witnesses)
+
+
+def sharp(p, m):
+    return from_congruences(sharp_case_lattice(SharpCaseSpec(p, m)))
 
 
 def outcome(search, L, cap):
@@ -244,6 +286,50 @@ class TestBfieldr:
             system = CongruenceSystem((n,), (tuple(rng.sample(range(1, n), m)),))
             L = from_congruences(system)
             assert bfieldr(L).value <= bfield(L).value
+
+
+class TestAgainstShellSearch:
+    """bfieldr walks half of each shell and bfield stops mid-shell; both
+    must report exactly what the whole-shell search reports."""
+
+    REFERENCES = (
+        (bfieldr, partial(shell_generation_search, mode="all", which="bfieldr")),
+        (bfield, partial(shell_generation_search, mode="nonnegative", which="bfield")),
+    )
+
+    def test_seeded_systems(self):
+        for i, system in enumerate(seeded_systems(200, 45)):
+            L = from_congruences(system)
+            cap = CAPS[i % len(CAPS)]
+            for fast, slow in self.REFERENCES:
+                assert generation_outcome(fast, L, cap) == \
+                    generation_outcome(slow, L, cap), (system, cap)
+
+    @pytest.mark.parametrize("p, m", [(31, 4), (23, 6)])
+    def test_sharp_cases(self, p, m):
+        L = sharp(p, m)
+        for fast, slow in self.REFERENCES:
+            assert generation_outcome(fast, L, None) == generation_outcome(slow, L, None)
+
+    def test_half_walk_pulls_half_the_members(self, monkeypatch):
+        # timing-free work gate on sharp (101,4): the all-orthant search
+        # pulls 37,741 members; the half walk may exceed half of that only
+        # by the members of the last shell it stops in
+        L = sharp(101, 4)
+        pulled = [0]
+
+        def counting(L, d, mode):
+            for v in lattice_shell_points(L, d, mode):
+                pulled[0] += 1
+                yield v
+
+        reference = shell_generation_search(L, "all", "bfieldr", walk=counting)
+        full = pulled[0]
+        pulled[0] = 0
+        monkeypatch.setattr(degree_bounds, "lattice_shell_points", counting)
+        assert bfieldr(L) == reference
+        last_shell = len(list(lattice_shell_points(L, reference.value, "all")))
+        assert pulled[0] <= full // 2 + last_shell, (pulled[0], full, last_shell)
 
 
 class TestRelations:

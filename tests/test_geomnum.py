@@ -4,9 +4,12 @@ from math import factorial
 
 import pytest
 
-from invlat.degree_bounds import bfield
+from invlat.ball_enum import lattice_shell_points
+from invlat.constructions import SharpCaseSpec, sharp_case_lattice
+from invlat.degree_bounds import CapExceededError, bfield
 from invlat.geomnum import (
     DependentInputError,
+    SuccessiveMinima,
     complete_basis_short,
     determinant_form,
     dual_pair_lift,
@@ -21,12 +24,14 @@ from invlat.lattice_core import (
     GeneratedLattice,
     LatticeBasis,
     from_congruences,
+    integer_kernel,
     is_generating,
     l1norm,
 )
 from invlat.sampling import random_congruence_systems
 
 import oracles
+from test_degree_bounds import seeded_systems
 
 
 def kernel(n, row):
@@ -35,6 +40,33 @@ def kernel(n, row):
 
 def det_of(vectors):
     return oracles.det_laplace([list(r) for r in zip(*vectors)])
+
+
+def rank_successive_minima(L, cap=None):
+    """Reference successive_minima: every member of each whole shell, all
+    orthants, added to a GeneratedLattice and kept when it raises the rank."""
+    m = L.dimension
+    if cap is None:
+        cap = L.index
+    acc = GeneratedLattice(m)
+    values = []
+    witnesses = []
+    for d in range(1, cap + 1):
+        for v in lattice_shell_points(L, d, "all"):
+            acc.add(v)
+            if acc.rank > len(values):
+                values.append(d)
+                witnesses.append(v)
+                if len(values) == m:
+                    return SuccessiveMinima(tuple(values), tuple(witnesses))
+    raise CapExceededError("successive_minima", cap)
+
+
+def minima_outcome(search, L, cap=None):
+    try:
+        return search(L, cap)
+    except CapExceededError as exc:
+        return ("cap", exc.which, exc.cap)
 
 
 class TestSuccessiveMinima:
@@ -63,8 +95,9 @@ class TestSuccessiveMinima:
             assert oracles.rank_of(sm.witnesses) == m
 
     def test_rank_tracker_matches_rational_rank(self):
-        # successive_minima keeps a member when it raises the rank of a
-        # GeneratedLattice, which must be the rank over Q
+        # successive_minima keeps a member when a kernel form of the kept
+        # vectors is nonzero on it, and the reference search when it raises
+        # the rank of a GeneratedLattice; both must be the rank over Q
         rng = random.Random(34)
         for _ in range(200):
             m = rng.randint(1, 5)
@@ -78,12 +111,26 @@ class TestSuccessiveMinima:
                 else:
                     v = tuple(rng.randint(-6, 6) for _ in range(m))
                 grows = oracles.rank_of(chosen + [v]) > oracles.rank_of(chosen)
+                forms = integer_kernel(chosen, m)
+                assert any(sum(a * x for a, x in zip(f, v)) for f in forms) == grows
                 rank = acc.rank
                 acc.add(v)
                 assert (acc.rank > rank) == grows
                 assert acc.rank == oracles.rank_of(chosen + [v])
                 if grows:
                     chosen.append(v)
+
+    def test_matches_rank_search_on_seeded_systems(self):
+        for i, system in enumerate(seeded_systems(200, 47)):
+            L = from_congruences(system)
+            cap = (None, 1, 2, 3, 5)[i % 5]
+            assert minima_outcome(successive_minima, L, cap) == \
+                minima_outcome(rank_successive_minima, L, cap), (system, cap)
+
+    @pytest.mark.parametrize("p, m", [(31, 4), (23, 6)])
+    def test_matches_rank_search_on_sharp_cases(self, p, m):
+        L = from_congruences(sharp_case_lattice(SharpCaseSpec(p, m)))
+        assert successive_minima(L) == rank_successive_minima(L)
 
     def test_no_smaller_independent_sets(self):
         # definitional check: below lambda_i there is no rank-i set

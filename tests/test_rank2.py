@@ -52,6 +52,27 @@ def scan_E(L):
     raise AssertionError("scan passed the index bound without a hit")
 
 
+def box_empty_triangle(L, H, E, allowed):
+    """Reference triangle check: every point of the bounding box of the
+    triangle (0, H, E), tested for membership."""
+    for a1 in range(H[0], E[0] + 1):
+        for a2 in range(E[1], H[1] + 1):
+            p = (a1, a2)
+            if p == (0, 0) or p in allowed:
+                continue
+            inside = (rank2._cross((0, 0), E, p) >= 0 and rank2._cross(E, H, p) >= 0
+                      and rank2._cross(H, (0, 0), p) >= 0)
+            if inside and p in L:
+                raise StructureViolation(f"lattice point {p} inside triangle 0,{H},{E}")
+
+
+def he_outcome(L):
+    try:
+        return he_analysis(L)
+    except StructureViolation as exc:
+        return str(exc)
+
+
 class TestFindHE:
     def test_mod5_example(self):
         L = kernel(5, (1, 4))
@@ -90,6 +111,44 @@ class TestFindHE:
                 assert find_E(L) == scan_E(L), (a, b, d)
                 count += 1
         assert count == sum(sigma(n) for n in range(1, 61))
+
+
+class TestEmptyTriangle:
+    def test_lattice_walk_matches_box_scan(self, monkeypatch):
+        # every index-n sublattice for n <= 60: the check on the pair
+        # (H, E) alone, which finds points in hundreds of triangles, and
+        # he_analysis as a whole, segment branch and excluded shapes included
+        def check_outcome(check, L, H, E, allowed):
+            try:
+                check(L, H, E, allowed)
+            except StructureViolation as exc:
+                return str(exc)
+
+        found = 0
+        lattices = [L for n in range(1, 61) for _, _, _, L in enumerate_sublattices(n)]
+        for L in lattices:
+            H, E = find_H(L), find_E(L)
+            got = check_outcome(rank2._check_empty_triangle, L, H, E, {H, E})
+            assert got == check_outcome(box_empty_triangle, L, H, E, {H, E}), L
+            found += got is not None
+        assert found >= 100
+        walked = [he_outcome(L) for L in lattices]
+        monkeypatch.setattr(rank2, "_check_empty_triangle", box_empty_triangle)
+        assert walked == [he_outcome(L) for L in lattices]
+
+    def test_no_membership_tests(self, monkeypatch):
+        calls = [0]
+        contains = LatticeBasis.__contains__
+
+        def counting(self, v):
+            calls[0] += 1
+            return contains(self, v)
+
+        L = LatticeBasis.from_generators([(7, 3), (0, 11)])
+        H, E = find_H(L), find_E(L)
+        monkeypatch.setattr(LatticeBasis, "__contains__", counting)
+        rank2._check_empty_triangle(L, H, E, {H, E})
+        assert calls[0] == 0
 
 
 class TestHeAnalysis:
