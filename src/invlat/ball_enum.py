@@ -9,12 +9,15 @@ the same order without walking shells.
 The searches walk lattice members directly: lattice_shell_points yields the
 members of L on a shell in the same shell-then-lex order, carrying the
 Hermite reduction of each coordinate prefix down the recursion, so
-non-members are never visited.  Besides the full and the nonnegative
-orthant it walks half of the full shell: the members whose first nonzero
-coordinate is negative.  L = -L and -v precedes v in lex order, so a search
-that only asks whether v grows what it has seen loses nothing by skipping v.
-shell_points followed by `v in L` (and, for the half, by the sign of the
-first nonzero coordinate) stays as the slow reference it must agree with.
+non-members are never visited.  The last two coordinates are solved once
+per budget and residue of their carries, in a dict local to one call, and
+the last prefix coordinate walks that dict's sorted pairs directly.  Besides
+the full and the nonnegative orthant it walks half of the full shell: the
+members whose first nonzero coordinate is negative.  L = -L and -v precedes
+v in lex order, so a search that only asks whether v grows what it has seen
+loses nothing by skipping v.  shell_points followed by `v in L` (and, for
+the half, by the sign of the first nonzero coordinate) stays as the slow
+reference it must agree with.
 """
 
 from __future__ import annotations
@@ -65,6 +68,36 @@ def points_up_to(dimension, radius, mode="all"):
         yield from shell_points(dimension, d, mode)
 
 
+def trailing_pairs(progressions, D, b, cx, cy, free):
+    """The last two coordinates (x, y) of a shell member, sorted.
+
+    Those with |x| + |y| = b and (x - cx, y - cy) in the lattice spanned by
+    (D, a) and (0, E), the trailing 2x2 Hermite block; free keeps only
+    x < 0, or x = 0, y = -b.  Each entry of progressions is one sign pattern
+    (sx, sy) of (x, y) solved as an arithmetic progression in x (see
+    lattice_shell_points).  The answer depends on (cx, cy) only through its
+    residue modulo that lattice.
+    """
+    hits = []
+    for sx, sy, g, period, inverse, step in progressions:
+        if free and sx > 0 and sy > 0:
+            continue
+        beta = sy * b - sx * sy * cx - cy
+        if beta % g:
+            continue
+        x0 = cx + D * (beta // g * inverse % period)
+        # x ranges over [-b, -1] or [0, b]; y = 0 only on the y > 0 pass
+        lo, hi = (-b, -1) if sx < 0 else (0, b)
+        if sy < 0:
+            lo, hi = (lo + 1, hi) if sx < 0 else (lo, hi - 1)
+        if free and sx > 0:
+            hi = min(hi, 0)
+        for x in range(lo + (x0 - lo) % step, hi + 1, step):
+            hits.append((x, sy * (b - sx * x)))
+    hits.sort()
+    return hits
+
+
 def lattice_shell_points(L, radius, mode="all"):
     """Yield the members of L with l1norm == radius, lexicographically ascending.
 
@@ -77,11 +110,19 @@ def lattice_shell_points(L, radius, mode="all"):
     the carry by one column.  On the last two coordinates, |x| + |y| = b
     plus both divisibility conditions leave at most four arithmetic
     progressions in x (sign of x times sign of y), each solved with one
-    modular inverse.
+    modular inverse (trailing_pairs).
+
+    That solve depends on the prefix only through the budget b and the
+    residue of the carries (cx, cy) modulo the trailing block, so it runs
+    once per (b, residue) and its sorted pairs are kept in a dict that lives
+    for this call only: at most (radius + 1) * D * E solves however many
+    prefixes there are.  The last prefix coordinate is fused with the pair:
+    it steps only the two carries and yields prefix + pair off the kept list.
 
     The half is pruned in the recursion, not filtered: while the prefix is
     all zero (free), a coordinate runs over [-budget, 0] only, and the last
-    two drop the x > 0 progressions but keep x = 0, y = -b.
+    two drop the x > 0 progressions but keep x = 0, y = -b.  The one free
+    prefix of a shell is solved on its own, outside the dict.
     """
     m = L.dimension
     _check_shell_args(m, radius, mode, LATTICE_MODES)
@@ -114,40 +155,41 @@ def lattice_shell_points(L, radius, mode="all"):
         period = E // g
         inverse = pow(alpha // g, -1, period)
         progressions.append((sx, sy, g, period, inverse, D * period))
-
-    def last_two(prefix, b, cx, cy, free):
-        hits = []
-        for sx, sy, g, period, inverse, step in progressions:
-            if free and sx > 0 and sy > 0:
-                continue
-            beta = sy * b - sx * sy * cx - cy
-            if beta % g:
-                continue
-            x0 = cx + D * (beta // g * inverse % period)
-            # x ranges over [-b, -1] or [0, b]; y = 0 only on the y > 0 pass
-            lo, hi = (-b, -1) if sx < 0 else (0, b)
-            if sy < 0:
-                lo, hi = (lo + 1, hi) if sx < 0 else (lo, hi - 1)
-            if free and sx > 0:
-                hi = min(hi, 0)
-            for x in range(lo + (x0 - lo) % step, hi + 1, step):
-                hits.append((x, sy * (b - sx * x)))
-        hits.sort()
-        for x, y in hits:
-            yield prefix + (x, y)
+    if m == 2:
+        yield from trailing_pairs(progressions, D, radius, 0, 0, half)
+        return
+    memo = {}
 
     def rec(prefix, i, budget, carry, free):
-        if i == m - 2:
-            yield from last_two(prefix, budget, carry[0], carry[1], free)
-            return
         col = cols[i]
         d = col[i]
         lo = 0 if nonneg else -budget
         start = lo + (carry[0] - lo) % d
         q = (start - carry[0]) // d
+        stop = (0 if free else budget) + 1
+        if i == m - 3:
+            # the last prefix coordinate: step only the pair's carries
+            tx, ty = col[m - 2], col[m - 1]
+            cx, cy = carry[1] + q * tx, carry[2] + q * ty
+            for first in range(start, stop, d):
+                b = budget - abs(first)
+                if free and first == 0:
+                    hits = trailing_pairs(progressions, D, b, 0, 0, True)
+                else:
+                    u = cx // D
+                    kx, ky = cx - D * u, (cy - a * u) % E
+                    hits = memo.get((b, kx, ky))
+                    if hits is None:
+                        hits = memo[b, kx, ky] = trailing_pairs(progressions, D, b,
+                                                                kx, ky, False)
+                if hits:
+                    yield from map((prefix + (first,)).__add__, hits)
+                cx += tx
+                cy += ty
+            return
         tail = col[i + 1:]
         nxt = [c + q * t for c, t in zip(carry[1:], tail)]
-        for first in range(start, (0 if free else budget) + 1, d):
+        for first in range(start, stop, d):
             yield from rec(prefix + (first,), i + 1, budget - abs(first), nxt,
                            free and first == 0)
             nxt = [c + t for c, t in zip(nxt, tail)]

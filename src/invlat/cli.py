@@ -1,8 +1,9 @@
 """Batch frontend: define lattices, run bounds, sweeps, verifications.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 cap
-exceeded.  json and csv outputs are stable contracts and byte-identical
-for identical config + seed; pretty output is for reading, not parsing.
+exceeded, 4 internal error.  json and csv outputs are stable contracts and
+byte-identical for identical config + seed; pretty output is for reading,
+not parsing.
 """
 
 from __future__ import annotations
@@ -571,6 +572,10 @@ def main(argv=None, out=None):
         sys.stderr.write(f"cap exceeded while computing {exc.which} "
                          f"(cap {exc.cap})\n")
         return 3
+    except RuntimeError as exc:
+        # a failed internal invariant ("construction bug"), not a violation
+        sys.stderr.write(f"internal error: {exc}\n")
+        return 4
     except (InvalidSystemError, ValueError, KeyError, OSError,
             json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")

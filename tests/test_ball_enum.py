@@ -1,15 +1,19 @@
+import random
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from invlat import ball_enum
 from invlat.ball_enum import (
+    LATTICE_MODES,
     lattice_points_up_to,
     lattice_shell_points,
     points_up_to,
     shell_count,
     shell_points,
 )
+from invlat.constructions import SharpCaseSpec, sharp_case_lattice
 from invlat.lattice_core import from_congruences, l1norm, CongruenceSystem
 from invlat.sampling import random_congruence_systems
 
@@ -129,6 +133,59 @@ def test_lattice_shell_points_composite_hermite_diagonal():
 def test_lattice_shell_points_two_row_system():
     system = CongruenceSystem((12, 10), ((1, 2, 3), (5, 0, 7)))
     assert_walker_matches_references(system, 8)
+
+
+def trailing_block(L):
+    """(D, a, E): the last two Hermite columns restricted to the last two rows."""
+    m = L.dimension
+    return L.columns[m - 2][m - 2], L.columns[m - 2][m - 1], L.columns[m - 1][m - 1]
+
+
+def test_lattice_shell_points_trailing_block_with_offset():
+    # With D > 1 and a != 0 the pair's residue key must fold a * (cx // D)
+    # into the second coordinate; the sharp and single-row systems mostly
+    # have D = 1 and do not tell a right key from a wrong one.
+    rng = random.Random(10)
+    found = dict.fromkeys((2, 3, 4, 5), 0)
+    while min(found.values()) < 3:
+        m = rng.randint(2, 5)
+        moduli = tuple(rng.randint(2, 24) for _ in range(rng.randint(1, 2)))
+        rows = tuple(tuple(rng.randrange(n) for _ in range(m)) for n in moduli)
+        system = CongruenceSystem(moduli, rows)
+        D, a, _ = trailing_block(from_congruences(system))
+        if D > 1 and a and found[m] < 3:
+            found[m] += 1
+            assert_walker_matches_references(system, 7 if m < 5 else 5)
+
+
+@pytest.mark.parametrize("p, m, radius, modes", [
+    (53, 6, 18, ("half",)),
+    (23, 6, 8, LATTICE_MODES),
+])
+def test_pair_solves_once_per_budget_and_residue(monkeypatch, p, m, radius, modes):
+    # Work gate: the last two coordinates are solved once per (budget,
+    # residue of the carries) plus once for the all-zero half prefix, not
+    # once per prefix (39,445 prefixes on the (53, 6) radius-18 half).
+    L = from_congruences(sharp_case_lattice(SharpCaseSpec(p, m)))
+    D, _, E = trailing_block(L)
+    solve = ball_enum.trailing_pairs
+    solves = 0
+
+    def counting(*args):
+        nonlocal solves
+        solves += 1
+        return solve(*args)
+
+    monkeypatch.setattr(ball_enum, "trailing_pairs", counting)
+    for mode in modes:
+        solves = 0
+        got = list(lattice_shell_points(L, radius, mode))
+        assert 0 < solves <= (radius + 1) * D * E + 1, (mode, solves)
+        assert got == sorted(got) and all(v in L and l1norm(v) == radius for v in got)
+        if radius <= 8:  # the filtered shell walk is cheap enough here
+            slow = [v for v in shell_points(m, radius, "all" if mode == "half" else mode)
+                    if v in L and (mode != "half" or lead(v) < 0)]
+            assert got == slow, mode
 
 
 @settings(max_examples=60, deadline=None, database=None)

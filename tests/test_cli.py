@@ -130,6 +130,16 @@ class TestBounds:
         assert code == 3
         assert "cap exceeded while computing bfield" in capsys.readouterr().err
 
+    def test_internal_error_exit_code(self, capsys, monkeypatch):
+        # A failed internal invariant exits 4, apart from 1 (violations found)
+        # and 2 (bad input). A wrong determinant makes mahler_basis's basis
+        # check raise its "construction bug" RuntimeError.
+        monkeypatch.setattr(geomnum, "det_int", lambda rows: 0)
+        code, out = run(["basis", "--construct", "sharp:p=5,m=3", "--format", "json"])
+        assert code == 4 and out == ""
+        assert capsys.readouterr().err == (
+            "internal error: refined vectors do not form a basis; construction bug\n")
+
 
 class TestMinima:
     def test_json(self):
