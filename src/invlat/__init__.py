@@ -43,6 +43,7 @@ from .lattice_core import (
     AllColumnsRemovedError,
     CongruenceSystem,
     GeneratedLattice,
+    InternalError,
     InvalidSystemError,
     LatticeBasis,
     detect_trivial_or_duplicate,

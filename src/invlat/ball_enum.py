@@ -9,20 +9,20 @@ the same order without walking shells.
 The searches walk lattice members directly: lattice_shell_points yields the
 members of L on a shell in the same shell-then-lex order, carrying the
 Hermite reduction of each coordinate prefix down the recursion, so
-non-members are never visited.  The last two coordinates are solved once
-per budget and residue of their carries, in a dict local to one call, and
-the last prefix coordinate walks that dict's sorted pairs directly.  Besides
-the full and the nonnegative orthant it walks half of the full shell: the
-members whose first nonzero coordinate is negative.  L = -L and -v precedes
-v in lex order, so a search that only asks whether v grows what it has seen
-loses nothing by skipping v.  shell_points followed by `v in L` (and, for
-the half, by the sign of the first nonzero coordinate) stays as the slow
-reference it must agree with.
+non-members are never visited.  The last prefix coordinate yields the
+solved pairs of the last two directly; where a shell has more prefixes
+than (budget, residue) keys, each key is solved once, in a dict local to
+one call.  Besides the full and the nonnegative orthant it walks half of
+the full shell: the members whose first nonzero coordinate is negative.
+L = -L and -v precedes v in lex order, so a search that only asks whether
+v grows what it has seen loses nothing by skipping v.  shell_points
+followed by `v in L` (and, for the half, by the sign of the first nonzero
+coordinate) stays as the slow reference it must agree with.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import comb, gcd
 
 MODES = ("all", "nonnegative")
 LATTICE_MODES = MODES + ("half",)
@@ -112,17 +112,19 @@ def lattice_shell_points(L, radius, mode="all"):
     progressions in x (sign of x times sign of y), each solved with one
     modular inverse (trailing_pairs).
 
-    That solve depends on the prefix only through the budget b and the
-    residue of the carries (cx, cy) modulo the trailing block, so it runs
-    once per (b, residue) and its sorted pairs are kept in a dict that lives
-    for this call only: at most (radius + 1) * D * E solves however many
-    prefixes there are.  The last prefix coordinate is fused with the pair:
-    it steps only the two carries and yields prefix + pair off the kept list.
+    That solve depends on the prefix only through the budget b, the free
+    flag below and the residue of the carries (cx, cy) modulo the trailing
+    block (D, a; 0, E).  Where the prefixes outnumber those keys, at most
+    (radius + 1) * D * E of them, it runs once per key and its sorted pairs
+    are kept in a dict that lives for this call only.  Elsewhere nearly
+    every prefix would add a key of its own, so each prefix is solved
+    directly and the walk streams in O(m) memory.  The last prefix
+    coordinate is fused with the pair: it steps only the two carries and
+    yields prefix + pair off the solved list, with no generator per prefix.
 
     The half is pruned in the recursion, not filtered: while the prefix is
     all zero (free), a coordinate runs over [-budget, 0] only, and the last
-    two drop the x > 0 progressions but keep x = 0, y = -b.  The one free
-    prefix of a shell is solved on its own, outside the dict.
+    two drop the x > 0 progressions but keep x = 0, y = -b.
     """
     m = L.dimension
     _check_shell_args(m, radius, mode, LATTICE_MODES)
@@ -158,7 +160,11 @@ def lattice_shell_points(L, radius, mode="all"):
     if m == 2:
         yield from trailing_pairs(progressions, D, radius, 0, 0, half)
         return
-    memo = {}
+    # Keep solves where the expected prefixes, ball_count(m - 2, radius) *
+    # D * E / index (the pivots d_0 .. d_{m-3} multiply to index / (D * E)),
+    # are at least the keys, (radius + 1) * D * E.
+    reuse = ball_count(m - 2, radius, mode) >= (radius + 1) * L.index
+    memo = {} if reuse else None
 
     def rec(prefix, i, budget, carry, free):
         col = cols[i]
@@ -172,16 +178,15 @@ def lattice_shell_points(L, radius, mode="all"):
             tx, ty = col[m - 2], col[m - 1]
             cx, cy = carry[1] + q * tx, carry[2] + q * ty
             for first in range(start, stop, d):
-                b = budget - abs(first)
-                if free and first == 0:
-                    hits = trailing_pairs(progressions, D, b, 0, 0, True)
+                b, f = budget - abs(first), free and first == 0
+                if memo is None:
+                    hits = trailing_pairs(progressions, D, b, cx, cy, f)
                 else:
                     u = cx // D
-                    kx, ky = cx - D * u, (cy - a * u) % E
-                    hits = memo.get((b, kx, ky))
+                    key = b, cx - D * u, (cy - a * u) % E, f
+                    hits = memo.get(key)
                     if hits is None:
-                        hits = memo[b, kx, ky] = trailing_pairs(progressions, D, b,
-                                                                kx, ky, False)
+                        hits = memo[key] = trailing_pairs(progressions, D, *key) or ()
                 if hits:
                     yield from map((prefix + (first,)).__add__, hits)
                 cx += tx
@@ -202,10 +207,19 @@ def lattice_points_up_to(L, radius, mode="all"):
     return [v for d in range(radius + 1) for v in lattice_shell_points(L, d, mode)]
 
 
+def ball_count(dimension, radius, mode="all"):
+    """Closed-form number of points with l1norm <= radius (dimension >= 0).
+
+    In mode "half", the all-zero point and half of the others.
+    """
+    if mode == "nonnegative":
+        return comb(radius + dimension, dimension)
+    n = sum(2 ** k * comb(dimension, k) * comb(radius, k) for k in range(dimension + 1))
+    return (n + 1) // 2 if mode == "half" else n
+
+
 def shell_count(dimension, radius, mode="all"):
     """Closed-form size of one shell (composition counting, no enumeration)."""
-    from math import comb
-
     if radius == 0:
         return 1
     if mode == "nonnegative":

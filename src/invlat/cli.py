@@ -17,7 +17,8 @@ from typing import NamedTuple
 
 from . import constructions, geomnum, rank2
 from .degree_bounds import CapExceededError, bfield, bfieldr, dspan, verify_bound_relations
-from .lattice_core import CongruenceSystem, InvalidSystemError, from_congruences, l1norm
+from .lattice_core import (
+    CongruenceSystem, InternalError, InvalidSystemError, from_congruences, l1norm)
 from .parallel import parallel_map, resolve_jobs
 from .sampling import random_congruence_systems, scan_cell_systems
 
@@ -572,8 +573,7 @@ def main(argv=None, out=None):
         sys.stderr.write(f"cap exceeded while computing {exc.which} "
                          f"(cap {exc.cap})\n")
         return 3
-    except RuntimeError as exc:
-        # a failed internal invariant ("construction bug"), not a violation
+    except InternalError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return 4
     except (InvalidSystemError, ValueError, KeyError, OSError,

@@ -14,7 +14,8 @@ from itertools import combinations
 
 from .ball_enum import shell_points
 from .degree_bounds import bfieldr
-from .lattice_core import CongruenceSystem, from_congruences, hnf_columns, integer_kernel, l1norm
+from .lattice_core import (
+    CongruenceSystem, InternalError, from_congruences, hnf_columns, integer_kernel, l1norm)
 
 
 def is_prime(n):
@@ -137,7 +138,7 @@ def codim1_generators(spec: SharpCaseSpec):
                 if best is None or key < best:
                     best = key
             if best is None:
-                raise RuntimeError(f"no norm-3 point exists for coefficient {c}")
+                raise InternalError(f"no norm-3 point exists for coefficient {c}")
             points.append(best[1])
         placed.append(pos[c])
     return tuple(points)

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .ball_enum import lattice_shell_points
 from .degree_bounds import CapExceededError
-from .lattice_core import det_int, integer_kernel, is_generating, l1norm, xgcd
+from .lattice_core import InternalError, det_int, integer_kernel, is_generating, l1norm, xgcd
 
 
 class DependentInputError(ValueError):
@@ -210,13 +210,13 @@ def mahler_basis(L) -> MahlerBasis:
         basis_amb.append(amb)
     d = det_int([[basis_amb[c][r] for c in range(m)] for r in range(m)])
     if abs(d) != L.index:
-        raise RuntimeError("refined vectors do not form a basis; construction bug")
+        raise InternalError("refined vectors do not form a basis; construction bug")
     if d < 0:
         basis_amb[-1] = tuple(-t for t in basis_amb[-1])
     norms = tuple(l1norm(b) for b in basis_amb)
     for i, nm in enumerate(norms, start=1):
         if nm > i * sm.values[i - 1]:
-            raise RuntimeError(
+            raise InternalError(
                 f"basis vector {i} has norm {nm} > {i} * minimum {sm.values[i - 1]}")
     return MahlerBasis(tuple(basis_amb), norms, sm)
 
@@ -307,10 +307,10 @@ def complete_basis_short(L, short_vectors) -> BasisCompletion:
                 bstar[r] += ft * b[r]
     bstar = tuple(bstar)
     if form.apply(bstar) != L.index:
-        raise RuntimeError("completion missed the determinant target; construction bug")
+        raise InternalError("completion missed the determinant target; construction bug")
     norm_bound = Fraction(L.index, abs(dstar)) + sum(l1norm(b) for b in bs)
     if l1norm(bstar) > norm_bound:
-        raise RuntimeError("completion exceeded its norm bound; construction bug")
+        raise InternalError("completion exceeded its norm bound; construction bug")
     return BasisCompletion(
         bstar, dstar, dstar_index, norm_bound, abs(dstar) >= L.index, form)
 
@@ -419,7 +419,7 @@ def dual_pair_lift(L, pairs, vectors):
                 b[i] += c
                 b[j] += c
         if min(b) < 0 or l1norm(b) > l1norm(a):
-            raise RuntimeError("lift violated its own contract; construction bug")
+            raise InternalError("lift violated its own contract; construction bug")
         lifted.append(tuple(b))
     out = tuple(lifted) + tuple(units)
     if not is_generating(L, out):

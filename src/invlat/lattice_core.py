@@ -20,6 +20,10 @@ class InvalidSystemError(ValueError):
     """Malformed congruence system (bad moduli, ragged or out-of-range rows)."""
 
 
+class InternalError(RuntimeError):
+    """A failed internal invariant: a bug in invlat, not in its input."""
+
+
 class AllColumnsRemovedError(ValueError):
     """Every coordinate was trivial or duplicate; nothing is left to keep."""
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from invlat import ball_enum
 from invlat.ball_enum import (
     LATTICE_MODES,
+    ball_count,
     lattice_points_up_to,
     lattice_shell_points,
     points_up_to,
@@ -50,6 +52,16 @@ def test_shell_count_closed_form():
         for d in (0, 1, 2, 5, 9):
             assert shell_count(m, d, "all") == len(list(shell_points(m, d, "all")))
             assert shell_count(m, d, "nonnegative") == comb(d + m - 1, m - 1)
+
+
+def test_ball_count_closed_form():
+    for m in (1, 2, 3, 4):
+        for d in (0, 1, 2, 5):
+            ball = list(points_up_to(m, d, "all"))
+            assert ball_count(m, d, "all") == len(ball)
+            assert ball_count(m, d, "half") == sum(1 for p in ball if lead(p) <= 0)
+            assert ball_count(m, d, "nonnegative") == len(list(points_up_to(m, d, "nonnegative")))
+    assert [ball_count(0, d, mode) for d in (0, 3) for mode in LATTICE_MODES] == [1] * 6
 
 
 def test_invalid_mode():
@@ -144,7 +156,9 @@ def trailing_block(L):
 def test_lattice_shell_points_trailing_block_with_offset():
     # With D > 1 and a != 0 the pair's residue key must fold a * (cx // D)
     # into the second coordinate; the sharp and single-row systems mostly
-    # have D = 1 and do not tell a right key from a wrong one.
+    # have D = 1 and do not tell a right key from a wrong one.  From m = 4 on
+    # an index <= 12 puts the top shells past the walker's reuse threshold,
+    # so there the keyed solves are what is checked.
     rng = random.Random(10)
     found = dict.fromkeys((2, 3, 4, 5), 0)
     while min(found.values()) < 3:
@@ -152,8 +166,9 @@ def test_lattice_shell_points_trailing_block_with_offset():
         moduli = tuple(rng.randint(2, 24) for _ in range(rng.randint(1, 2)))
         rows = tuple(tuple(rng.randrange(n) for _ in range(m)) for n in moduli)
         system = CongruenceSystem(moduli, rows)
-        D, a, _ = trailing_block(from_congruences(system))
-        if D > 1 and a and found[m] < 3:
+        L = from_congruences(system)
+        D, a, _ = trailing_block(L)
+        if D > 1 and a and found[m] < 3 and (m < 4 or L.index <= 12):
             found[m] += 1
             assert_walker_matches_references(system, 7 if m < 5 else 5)
 
@@ -186,6 +201,21 @@ def test_pair_solves_once_per_budget_and_residue(monkeypatch, p, m, radius, mode
             slow = [v for v in shell_points(m, radius, "all" if mode == "half" else mode)
                     if v in L and (mode != "half" or lead(v) < 0)]
             assert got == slow, mode
+
+
+def test_low_reuse_walk_streams():
+    # Index 100003 leaves about one prefix per (budget, residue) key on this
+    # shell (25,025 prefixes), so the walk keeps no solves and its memory
+    # does not grow with the prefix count; keying them all takes megabytes.
+    L = from_congruences(CongruenceSystem((100003,), ((1, 343, 2401, 16807, 17646, 23519),)))
+    tracemalloc.start()
+    try:
+        for _ in lattice_shell_points(L, 16, "half"):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
 
 
 @settings(max_examples=60, deadline=None, database=None)

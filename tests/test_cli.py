@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import jsonschema
@@ -133,12 +134,22 @@ class TestBounds:
     def test_internal_error_exit_code(self, capsys, monkeypatch):
         # A failed internal invariant exits 4, apart from 1 (violations found)
         # and 2 (bad input). A wrong determinant makes mahler_basis's basis
-        # check raise its "construction bug" RuntimeError.
+        # check raise its "construction bug" InternalError.
         monkeypatch.setattr(geomnum, "det_int", lambda rows: 0)
         code, out = run(["basis", "--construct", "sharp:p=5,m=3", "--format", "json"])
         assert code == 4 and out == ""
         assert capsys.readouterr().err == (
             "internal error: refined vectors do not form a basis; construction bug\n")
+
+    def test_other_runtime_errors_are_not_internal(self, monkeypatch):
+        # A RuntimeError from the environment (a broken worker pool, a
+        # recursion limit) is not reported as a bug in invlat.
+        def broken(*args, **kwargs):
+            raise BrokenProcessPool("a worker died")
+
+        monkeypatch.setattr(geomnum, "det_int", broken)
+        with pytest.raises(BrokenProcessPool):
+            run(["basis", "--construct", "sharp:p=5,m=3", "--format", "json"])
 
 
 class TestMinima:
