@@ -8,7 +8,7 @@ geometry-of-numbers layer provides successive minima, short bases and basis
 completion with proven norm bounds.
 """
 
-from .ball_enum import lattice_points_up_to, points_up_to, shell_count, shell_points
+from .ball_enum import points_up_to, shell_points
 from .constructions import (
     SharpCaseSpec,
     codim1_check,

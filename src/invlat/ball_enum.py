@@ -6,23 +6,29 @@ bfieldr and successive-minima searches consume points in exactly this order,
 which is what pins down witness tie-breaking; the dspan search reproduces
 the same order without walking shells.
 
-The searches walk lattice members directly: lattice_shell_points yields the
-members of L on a shell in the same shell-then-lex order, carrying the
-Hermite reduction of each coordinate prefix down the recursion, so
-non-members are never visited.  The last prefix coordinate yields the
-solved pairs of the last two directly; where a shell has more prefixes
-than (budget, residue) keys, each key is solved once, in a dict local to
-one call.  Besides the full and the nonnegative orthant it walks half of
-the full shell: the members whose first nonzero coordinate is negative.
-L = -L and -v precedes v in lex order, so a search that only asks whether
-v grows what it has seen loses nothing by skipping v.  shell_points
-followed by `v in L` (and, for the half, by the sign of the first nonzero
-coordinate) stays as the slow reference it must agree with.
+The searches walk lattice members directly.  Each search holds one
+shell_walker, whose walk(d) yields the members of L on shell d in the same
+shell-then-lex order without visiting the non-members.  On a lattice from a
+one-row congruence with m >= 4 it is a meet in the middle: the first
+m - m // 2 coordinates are walked carrying one congruence label, and the
+last m // 2 come from sorted suffix lists memoised by (budget, label, free),
+each solved the first time it is used and kept for the later shells of the
+search.  Elsewhere, and on the early shells where the keys would outnumber
+the prefixes, the walk streams: it carries the Hermite reduction of each
+prefix and solves the last two coordinates per prefix.  Besides the full and
+the nonnegative orthant it walks half of the full shell: the members whose
+first nonzero coordinate is negative.  L = -L and -v precedes v in lex
+order, so a search that only asks whether v grows what it has seen loses
+nothing by skipping v.  shell_points followed by `v in L` (and, for the
+half, by the sign of the first nonzero coordinate) stays as the slow
+reference it must agree with.
 """
 
 from __future__ import annotations
 
 from math import comb, gcd
+
+from .lattice_core import xgcd
 
 MODES = ("all", "nonnegative")
 LATTICE_MODES = MODES + ("half",)
@@ -75,7 +81,7 @@ def trailing_pairs(progressions, D, b, cx, cy, free):
     (D, a) and (0, E), the trailing 2x2 Hermite block; free keeps only
     x < 0, or x = 0, y = -b.  Each entry of progressions is one sign pattern
     (sx, sy) of (x, y) solved as an arithmetic progression in x (see
-    lattice_shell_points).  The answer depends on (cx, cy) only through its
+    shell_walker).  The answer depends on (cx, cy) only through its
     residue modulo that lattice.
     """
     hits = []
@@ -98,51 +104,71 @@ def trailing_pairs(progressions, D, b, cx, cy, free):
     return hits
 
 
-def lattice_shell_points(L, radius, mode="all"):
-    """Yield the members of L with l1norm == radius, lexicographically ascending.
+def shell_walker(L, mode="all"):
+    """Return walk(radius), the members of L with l1norm == radius, sorted.
 
-    Exactly [v for v in shell_points(L.dimension, radius, mode) if v in L],
-    without visiting the non-members; mode "half" keeps of the "all" shell
-    only the members whose first nonzero coordinate is negative.  L.columns
-    is lower triangular, so the Hermite residue of coordinate i depends only
-    on v[0..i]: coordinate i must be congruent to the carried reduction of
-    the prefix modulo the pivot d_i, and each admissible value of it extends
-    the carry by one column.  On the last two coordinates, |x| + |y| = b
-    plus both divisibility conditions leave at most four arithmetic
-    progressions in x (sign of x times sign of y), each solved with one
-    modular inverse (trailing_pairs).
+    walk(d) is exactly [v for v in shell_points(L.dimension, d, mode) if v in
+    L], without visiting the non-members; mode "half" keeps of the "all"
+    shell only the members whose first nonzero coordinate is negative.  One
+    walker serves one search: the suffixes it solves on one shell are kept
+    for every later shell it walks.
 
-    That solve depends on the prefix only through the budget b, the free
-    flag below and the residue of the carries (cx, cy) modulo the trailing
-    block (D, a; 0, E).  Where the prefixes outnumber those keys, at most
-    (radius + 1) * D * E of them, it runs once per key and its sorted pairs
-    are kept in a dict that lives for this call only.  Elsewhere nearly
-    every prefix would add a key of its own, so each prefix is solved
-    directly and the walk streams in O(m) memory.  The last prefix
+    The streaming walk carries the Hermite reduction of each coordinate
+    prefix down the recursion.  L.columns is lower triangular, so coordinate
+    i must be congruent to the carried reduction of the prefix modulo the
+    pivot d_i, and each admissible value of it extends the carry by one
+    column.  On the last two coordinates, |x| + |y| = b plus both
+    divisibility conditions leave at most four arithmetic progressions in x,
+    each solved with one modular inverse (trailing_pairs).  The last prefix
     coordinate is fused with the pair: it steps only the two carries and
     yields prefix + pair off the solved list, with no generator per prefix.
+
+    The split walk is a meet in the middle, for a lattice from a one-row
+    system row . v = 0 (mod n) with m >= 4.  It walks the first
+    P = m - m // 2 coordinates carrying only the label row . prefix mod n:
+    a prefix v_0 .. v_{i-1} extends to a member iff its label is divisible
+    by gcd(row[i:], n), which leaves v_i one residue class mod d_i.  Every
+    prefix with the same label, budget b and free flag (below) has the same
+    suffixes, so the last m // 2 coordinates come from a table
+    {(b, label, free): sorted suffixes} that lives as long as the walker.
+    A key is solved the first time it is used, by the same walk one
+    coordinate further on, whose own suffixes are memoised in turn, down to
+    the pairs of trailing_pairs.  Prefixes ascend and each suffix list is
+    sorted, so shell-then-lex order holds.
+
+    A shell takes the split walk where the prefixes the search has walked
+    up to it, about ball_count(P + 1, radius) / (d_0 .. d_{P-1}), are at
+    least the keys it can reach, (radius + 1) * d_P .. d_{m-1}.  Elsewhere
+    nearly every prefix would add a key of its own, so the walk streams in
+    O(m) memory, as it always does for m <= 3, multi-row systems and bare
+    bases.  walk.memo holds the tables by first coordinate, or is None
+    where the walk always streams.
 
     The half is pruned in the recursion, not filtered: while the prefix is
     all zero (free), a coordinate runs over [-budget, 0] only, and the last
     two drop the x > 0 progressions but keep x = 0, y = -b.
     """
     m = L.dimension
-    _check_shell_args(m, radius, mode, LATTICE_MODES)
+    _check_shell_args(m, 0, mode, LATTICE_MODES)
     cols = L.columns
     nonneg = mode == "nonnegative"
     half = mode == "half"
+
     if m == 1:
-        if radius % cols[0][0] == 0:
-            if radius == 0:
-                if not half:
-                    yield (0,)
-            elif nonneg:
-                yield (radius,)
-            else:
-                yield (-radius,)
-                if not half:
+        def walk(radius):
+            _check_shell_args(m, radius, mode, LATTICE_MODES)
+            if radius % cols[0][0] == 0:
+                if radius == 0:
+                    if not half:
+                        yield (0,)
+                elif nonneg:
                     yield (radius,)
-        return
+                else:
+                    yield (-radius,)
+                    if not half:
+                        yield (radius,)
+        walk.memo = None
+        return walk
 
     # Last two coordinates x, y with carries cx, cy: x = cx + D t for an
     # integer t, then y - cy - a t must vanish mod E.  Writing
@@ -157,16 +183,8 @@ def lattice_shell_points(L, radius, mode="all"):
         period = E // g
         inverse = pow(alpha // g, -1, period)
         progressions.append((sx, sy, g, period, inverse, D * period))
-    if m == 2:
-        yield from trailing_pairs(progressions, D, radius, 0, 0, half)
-        return
-    # Keep solves where the expected prefixes, ball_count(m - 2, radius) *
-    # D * E / index (the pivots d_0 .. d_{m-3} multiply to index / (D * E)),
-    # are at least the keys, (radius + 1) * D * E.
-    reuse = ball_count(m - 2, radius, mode) >= (radius + 1) * L.index
-    memo = {} if reuse else None
 
-    def rec(prefix, i, budget, carry, free):
+    def stream(prefix, i, budget, carry, free):
         col = cols[i]
         d = col[i]
         lo = 0 if nonneg else -budget
@@ -178,15 +196,8 @@ def lattice_shell_points(L, radius, mode="all"):
             tx, ty = col[m - 2], col[m - 1]
             cx, cy = carry[1] + q * tx, carry[2] + q * ty
             for first in range(start, stop, d):
-                b, f = budget - abs(first), free and first == 0
-                if memo is None:
-                    hits = trailing_pairs(progressions, D, b, cx, cy, f)
-                else:
-                    u = cx // D
-                    key = b, cx - D * u, (cy - a * u) % E, f
-                    hits = memo.get(key)
-                    if hits is None:
-                        hits = memo[key] = trailing_pairs(progressions, D, *key) or ()
+                hits = trailing_pairs(progressions, D, budget - abs(first), cx, cy,
+                                      free and first == 0)
                 if hits:
                     yield from map((prefix + (first,)).__add__, hits)
                 cx += tx
@@ -195,16 +206,80 @@ def lattice_shell_points(L, radius, mode="all"):
         tail = col[i + 1:]
         nxt = [c + q * t for c, t in zip(carry[1:], tail)]
         for first in range(start, stop, d):
-            yield from rec(prefix + (first,), i + 1, budget - abs(first), nxt,
-                           free and first == 0)
+            yield from stream(prefix + (first,), i + 1, budget - abs(first), nxt,
+                              free and first == 0)
             nxt = [c + t for c, t in zip(nxt, tail)]
 
-    yield from rec((), 0, radius, [0] * m, half)
+    P = m - m // 2
+    memo = None
+    if m > 3 and L.congruence is not None:
+        row, n = L.congruence
+        memo = {j: {} for j in range(P, m - 1)}
+        # gcds[i] = gcd(row[i:], n): v_0 .. v_{i-1} extend to a member iff
+        # their label is divisible by gcds[i], and then v_i runs over one
+        # residue class modulo steps[i] = gcds[i + 1] / gcds[i] = d_i
+        gcds = [n] * (m + 1)
+        for i in reversed(range(m)):
+            gcds[i] = gcd(row[i], gcds[i + 1])
+        steps = [gcds[i + 1] // gcds[i] for i in range(m - 2)]
+        inverses = [pow(row[i] // gcds[i], -1, steps[i]) for i in range(m - 2)]
+        # ux * row[m - 2] + uy * row[m - 1] = gcds[m - 2] (mod n), so the
+        # carries -(label / gcds[m - 2]) * (ux, uy) complete the label
+        h, s, _ = xgcd(row[m - 1], n)
+        _, ux, t = xgcd(row[m - 2], h)
+        uy = t * s
+
+    def split(prefix, i, budget, label, free):
+        c, d = row[i], steps[i]
+        lo = 0 if nonneg else -budget
+        start = lo + (-(label // gcds[i]) * inverses[i] - lo) % d
+        stop = (0 if free else budget) + 1
+        label = (label + c * start) % n
+        cd = c * d % n
+        if i < P - 1:
+            for first in range(start, stop, d):
+                yield from split(prefix + (first,), i + 1, budget - abs(first), label,
+                                 free and first == 0)
+                label = (label + cd) % n
+            return
+        # the rest of the coordinates is one memoised suffix list
+        table = memo[i + 1]
+        for first in range(start, stop, d):
+            key = budget - abs(first), label, free and first == 0
+            hits = table.get(key)
+            if hits is None:
+                hits = table[key] = suffixes(i + 1, *key)
+            if hits:
+                yield from map((prefix + (first,)).__add__, hits)
+            label = (label + cd) % n
+
+    def suffixes(j, b, label, free):
+        # sorted v_j .. v_{m-1} of norm b that complete a prefix of this label
+        if j == m - 2:
+            q = -(label // gcds[j])
+            return trailing_pairs(progressions, D, b, q * ux, q * uy, free) or ()
+        return list(split((), j, b, label, free)) or ()
+
+    def walk(radius):
+        _check_shell_args(m, radius, mode, LATTICE_MODES)
+        if m == 2:
+            yield from trailing_pairs(progressions, D, radius, 0, 0, half)
+        elif memo is not None and ball_count(P + 1, radius, mode) >= (radius + 1) * L.index:
+            yield from split((), 0, radius, 0, half)
+        else:
+            yield from stream((), 0, radius, [0] * m, half)
+
+    walk.memo = memo
+    return walk
 
 
-def lattice_points_up_to(L, radius, mode="all"):
-    """Members of L with l1norm <= radius, ordered by shell then lex."""
-    return [v for d in range(radius + 1) for v in lattice_shell_points(L, d, mode)]
+def lattice_shell_points(L, radius, mode="all"):
+    """The members of L on one shell: shell_walker(L, mode)(radius).
+
+    A search that walks several shells should hold one shell_walker, which
+    keeps its solved suffixes from shell to shell.
+    """
+    return shell_walker(L, mode)(radius)
 
 
 def ball_count(dimension, radius, mode="all"):
@@ -216,15 +291,3 @@ def ball_count(dimension, radius, mode="all"):
         return comb(radius + dimension, dimension)
     n = sum(2 ** k * comb(dimension, k) * comb(radius, k) for k in range(dimension + 1))
     return (n + 1) // 2 if mode == "half" else n
-
-
-def shell_count(dimension, radius, mode="all"):
-    """Closed-form size of one shell (composition counting, no enumeration)."""
-    if radius == 0:
-        return 1
-    if mode == "nonnegative":
-        return comb(radius + dimension - 1, dimension - 1)
-    return sum(
-        2 ** k * comb(dimension, k) * comb(radius - 1, k - 1)
-        for k in range(1, min(dimension, radius) + 1)
-    )

@@ -10,7 +10,8 @@ Three quantities, each found by an exhaustive search with proven caps:
 
 Values are exact, not bounds; witnesses are deterministic, the first hit in
 shell-then-lexicographic order.  bfield and bfieldr walk the lattice members
-of each shell directly (ball_enum.lattice_shell_points), in that same order.
+of each shell directly, in that same order, through one ball_enum.shell_walker
+per search, which keeps the suffixes it solves from shell to shell.
 dspan is a breadth-first search over the cosets Z^m/L, one layer per norm,
 whose witnesses are the minimal-norm, lexicographically least
 representatives: the points a walk of the nonnegative shells would hit first.
@@ -21,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .ball_enum import lattice_shell_points
+from .ball_enum import shell_walker
 from .lattice_core import GeneratedLattice
 
 
@@ -120,8 +121,9 @@ def _generation_search(L, mode, which, cap):
     """
     acc = GeneratedLattice(L.dimension)
     witnesses = []
+    walk = shell_walker(L, mode)
     for d in range(cap + 1):
-        for v in lattice_shell_points(L, d, mode):
+        for v in walk(d):
             if v not in acc:
                 acc.add(v)
                 witnesses.append(v)

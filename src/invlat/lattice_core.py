@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class InvalidSystemError(ValueError):
@@ -303,11 +303,17 @@ class LatticeBasis:
     columns is the column-style Hermite form described in hnf_columns, so two
     LatticeBasis values are equal exactly when they present the same lattice.
     The determinant of the columns equals +index.
+
+    congruence is (row, n) for a lattice that from_congruences built from a
+    one-row system, and None otherwise: the congruence label row . v mod n
+    adds over vectors and is zero exactly on L.  It takes no part in
+    equality.
     """
 
     dimension: int
     columns: tuple
     index: int
+    congruence: tuple = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_generators(cls, vectors, dimension=None):
@@ -381,7 +387,10 @@ def from_congruences(system) -> LatticeBasis:
         rows.append(row)
     kernel = integer_kernel(rows, m + r)
     projected = [v[:m] for v in kernel]
-    return LatticeBasis.from_generators(projected, dimension=m)
+    L = LatticeBasis.from_generators(projected, dimension=m)
+    if r == 1:
+        return LatticeBasis(m, L.columns, L.index, (system.coefficients[0], system.moduli[0]))
+    return L
 
 
 def is_generating(L, vectors):

@@ -327,14 +327,15 @@ def blob_check(L, radius=None):
     witness norm, finds the same first violation as any larger radius: from
     a <= w and weight(a) > 0, |a+| <= |w| and |a-| < |a+|, so |a| < 2|w|.
     """
-    from .ball_enum import lattice_shell_points
+    from .ball_enum import shell_walker
 
     witnesses = list(dspan(L).witnesses.values())
     if radius is None:
         radius = 2 * max(map(l1norm, witnesses))
-    # lattice_points_up_to's members in order, but not held in one list
+    # the members up to radius, shell by shell, not held in one list
+    walk = shell_walker(L, "all")
     for d in range(radius + 1):
-        for a in lattice_shell_points(L, d, "all"):
+        for a in walk(d):
             if weight(a) <= 0:
                 continue
             for w in witnesses:

@@ -3,10 +3,13 @@
 Everything here works straight from the congruence arithmetic or from
 first-principles linear algebra over Fractions, sharing no code with the
 package under test, so disagreement always means a real bug on one side.
+The one exception is lattice_points_up_to at the end, which chains the
+package's shell walker and is checked against these oracles.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 
 def box_points(m, radius):
@@ -189,3 +192,25 @@ def oracle_minima(system, limit=None):
                 if len(values) == m:
                     return values
     raise AssertionError("minima oracle exceeded its limit")
+
+
+def shell_count(dimension, radius, mode="all"):
+    """Closed-form size of one shell (composition counting, no enumeration)."""
+    if radius == 0:
+        return 1
+    if mode == "nonnegative":
+        return comb(radius + dimension - 1, dimension - 1)
+    return sum(
+        2 ** k * comb(dimension, k) * comb(radius - 1, k - 1)
+        for k in range(1, min(dimension, radius) + 1)
+    )
+
+
+def lattice_points_up_to(L, radius, mode="all"):
+    """Members of L with l1norm <= radius, ordered by shell then lex: the
+    shells of one invlat shell_walker, which shares its suffixes across
+    them as a search does."""
+    from invlat.ball_enum import shell_walker
+
+    walk = shell_walker(L, mode)
+    return [v for d in range(radius + 1) for v in walk(d)]

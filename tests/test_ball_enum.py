@@ -5,18 +5,17 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invlat import ball_enum
+from invlat import ball_enum, degree_bounds, geomnum
 from invlat.ball_enum import (
     LATTICE_MODES,
     ball_count,
-    lattice_points_up_to,
     lattice_shell_points,
     points_up_to,
-    shell_count,
     shell_points,
+    shell_walker,
 )
 from invlat.constructions import SharpCaseSpec, sharp_case_lattice
-from invlat.lattice_core import from_congruences, l1norm, CongruenceSystem
+from invlat.lattice_core import CongruenceSystem, LatticeBasis, from_congruences, l1norm
 from invlat.sampling import random_congruence_systems
 
 import oracles
@@ -50,8 +49,8 @@ def test_lex_order_within_shell():
 def test_shell_count_closed_form():
     for m in (1, 2, 3, 4):
         for d in (0, 1, 2, 5, 9):
-            assert shell_count(m, d, "all") == len(list(shell_points(m, d, "all")))
-            assert shell_count(m, d, "nonnegative") == comb(d + m - 1, m - 1)
+            assert oracles.shell_count(m, d, "all") == len(list(shell_points(m, d, "all")))
+            assert oracles.shell_count(m, d, "nonnegative") == comb(d + m - 1, m - 1)
 
 
 def test_ball_count_closed_form():
@@ -81,7 +80,7 @@ def test_reference_walks_reject_half():
 def test_lattice_points_up_to():
     system = CongruenceSystem((5,), ((1, 4),))
     L = from_congruences(system)
-    got = list(lattice_points_up_to(L, 6, "all"))
+    got = list(oracles.lattice_points_up_to(L, 6, "all"))
     assert got == [p for p in points_up_to(2, 6, "all") if p in L]
     assert (0, 0) in got and (1, 1) in got and (-5, 0) in got
 
@@ -91,24 +90,43 @@ def lead(v):
     return next((t for t in v if t), 0)
 
 
-def assert_half_matches_reference(L, radius):
-    """The "half" walk against the sign-filtered "all" shell walk."""
+def reference_shell(L, d, mode):
+    """The slow reference for one shell: the filtered shell walk, and for the
+    half the "all" walk filtered by the sign of the first nonzero
+    coordinate."""
+    if mode == "half":
+        return [v for v in shell_points(L.dimension, d, "all") if v in L and lead(v) < 0]
+    return [v for v in shell_points(L.dimension, d, mode) if v in L]
+
+
+def assert_search_walk_matches_reference(L, radius, mode):
+    """One walker's shells 0..radius, as a search walks them, against the
+    reference; returns the walker."""
+    walk = shell_walker(L, mode)
     for d in range(radius + 1):
-        slow = [v for v in shell_points(L.dimension, d, "all") if v in L and lead(v) < 0]
-        assert list(lattice_shell_points(L, d, "half")) == slow, (L, d)
+        assert list(walk(d)) == reference_shell(L, d, mode), (L, mode, d)
+    return walk
+
+
+def assert_half_matches_reference(L, radius):
+    """The "half" walk against the sign-filtered "all" shell walk, one
+    shell at a time and through one walker."""
+    for d in range(radius + 1):
+        assert list(lattice_shell_points(L, d, "half")) == reference_shell(L, d, "half"), (L, d)
+    assert_search_walk_matches_reference(L, radius, "half")
 
 
 def assert_walker_matches_references(system, radius):
     """lattice_shell_points against the filtered shell walk, shell by shell,
-    and against the congruence-only oracle over the whole ball."""
+    and one walker over the whole ball against the congruence-only oracle."""
     L = from_congruences(system)
     for mode in ("all", "nonnegative"):
         for d in range(radius + 1):
-            slow = [v for v in shell_points(L.dimension, d, mode) if v in L]
-            assert list(lattice_shell_points(L, d, mode)) == slow, (system, mode, d)
+            assert list(lattice_shell_points(L, d, mode)) == reference_shell(L, d, mode), \
+                (system, mode, d)
         expected = sorted(oracles.members_up_to(system, radius, mode),
                           key=lambda p: (l1norm(p), p))
-        assert lattice_points_up_to(L, radius, mode) == expected, (system, mode)
+        assert oracles.lattice_points_up_to(L, radius, mode) == expected, (system, mode)
     assert_half_matches_reference(L, radius)
 
 
@@ -157,8 +175,8 @@ def test_lattice_shell_points_trailing_block_with_offset():
     # With D > 1 and a != 0 the pair's residue key must fold a * (cx // D)
     # into the second coordinate; the sharp and single-row systems mostly
     # have D = 1 and do not tell a right key from a wrong one.  From m = 4 on
-    # an index <= 12 puts the top shells past the walker's reuse threshold,
-    # so there the keyed solves are what is checked.
+    # a single row of index <= 12 takes the split walk on the top shells, so
+    # there the pairs start from the carries of a congruence label.
     rng = random.Random(10)
     found = dict.fromkeys((2, 3, 4, 5), 0)
     while min(found.values()) < 3:
@@ -173,16 +191,95 @@ def test_lattice_shell_points_trailing_block_with_offset():
             assert_walker_matches_references(system, 7 if m < 5 else 5)
 
 
-@pytest.mark.parametrize("p, m, radius, modes", [
-    (53, 6, 18, ("half",)),
-    (23, 6, 8, LATTICE_MODES),
+def table_keys(walk):
+    return sum(map(len, walk.memo.values()))
+
+
+# (n, row): a prime, a row with gcd(n, row) = 2, and a row whose first pivot
+# is 2 (v_0 must be even), so the split walk steps the label by d_0 > 1
+SPLIT_ROWS = ((7, (1, 2, 3, 5, 6, 4)), (12, (2, 4, 6, 10, 8, 2)), (8, (1, 2, 4, 6, 2, 4)))
+
+
+@pytest.mark.parametrize("mode", LATTICE_MODES)
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_search_walker_each_dimension_and_mode(m, mode):
+    # one walker per lattice, shell after shell as a search walks them; from
+    # m = 4 on a single row of small index takes the split walk
+    for n, row in SPLIT_ROWS:
+        L = from_congruences(CongruenceSystem((n,), (row[:m],)))
+        walk = assert_search_walk_matches_reference(L, 8 if m < 5 else 6, mode)
+        if m <= 3:
+            assert walk.memo is None
+        else:
+            assert table_keys(walk) > 0, (n, row[:m], mode)
+
+
+@pytest.mark.parametrize("mode", LATTICE_MODES)
+def test_search_walker_crosses_from_stream_to_split(mode):
+    # index 211 in m = 5: the first shells stream, leaving the tables empty;
+    # once the search has walked more prefixes than the keys it can reach,
+    # the later shells take the split walk
+    L = from_congruences(CongruenceSystem((211,), ((1, 5, 25, 125, 203),)))
+    walk = shell_walker(L, mode)
+    keys = []
+    for d in range(16 if mode == "nonnegative" else 12):
+        assert list(walk(d)) == reference_shell(L, d, mode), (mode, d)
+        keys.append(table_keys(walk))
+    assert keys[0] == 0 and keys[-1] > 0, keys
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.data())
+def test_search_walker_single_row_property(data):
+    # single rows in m = 4..6, half of them with gcd(n, row) > 1, through one
+    # walker per lattice in every mode
+    m = data.draw(st.integers(4, 6), label="m")
+    g = data.draw(st.sampled_from((1, 1, 2, 3)), label="gcd factor")
+    n = g * data.draw(st.integers(2, 30), label="n / g")
+    row = tuple(g * data.draw(st.integers(0, n // g - 1), label="row") for _ in range(m))
+    L = from_congruences(CongruenceSystem((n,), (row,)))
+    for mode in LATTICE_MODES:
+        assert_search_walk_matches_reference(L, 6 if m < 6 else 5, mode)
+
+
+def test_multi_row_systems_and_bare_bases_stream():
+    systems = [CongruenceSystem((12, 10), ((1, 2, 3, 5), (5, 0, 7, 1))),
+               CongruenceSystem((6, 4), ((1, 2, 3, 4, 5), (1, 1, 0, 2, 3)))]
+    bases = [from_congruences(s) for s in systems]
+    bases.append(LatticeBasis.from_generators(
+        [(3, 1, 0, 0, 1), (0, 2, 1, 0, 0), (0, 0, 5, 1, 0), (1, 0, 0, 4, 0), (0, 1, 0, 0, 3)]))
+    bases.append(LatticeBasis(4, sharp_lattice(7, 4).columns, 7))  # the row dropped
+    for L in bases:
+        for mode in LATTICE_MODES:
+            walk = assert_search_walk_matches_reference(L, 6, mode)
+            assert walk.memo is None, (L, mode)
+
+
+def sharp_lattice(p, m):
+    return from_congruences(sharp_case_lattice(SharpCaseSpec(p, m)))
+
+
+@pytest.mark.parametrize("search, limit", [
+    (degree_bounds.bfield, (220, 380)),
+    (degree_bounds.bfieldr, (270, 230)),
+    (geomnum.successive_minima, (270, 230)),
 ])
-def test_pair_solves_once_per_budget_and_residue(monkeypatch, p, m, radius, modes):
-    # Work gate: the last two coordinates are solved once per (budget,
-    # residue of the carries) plus once for the all-zero half prefix, not
-    # once per prefix (39,445 prefixes on the (53, 6) radius-18 half).
-    L = from_congruences(sharp_case_lattice(SharpCaseSpec(p, m)))
-    D, _, E = trailing_block(L)
+def test_split_walk_solves_each_key_once(monkeypatch, search, limit):
+    # Work gate on one sharp (23, 6) search, up to radius 8: each table key
+    # is solved once for the whole search, so the pair solves are the pair
+    # table's keys plus one per prefix of the first shells, which stream.
+    # Pinned at 212 keys and 371 solves for bfield, 264 and 224 for the
+    # half searches; the walker whose keys lived for one shell made 453,
+    # 528 and 527 solves, the streaming walk alone 794, 4169 and 4168.
+    L = sharp_lattice(23, 6)
+    walkers = []
+
+    def keeping(L, mode):
+        walkers.append(shell_walker(L, mode))
+        return walkers[-1]
+
+    monkeypatch.setattr(degree_bounds, "shell_walker", keeping)
+    monkeypatch.setattr(geomnum, "shell_walker", keeping)
     solve = ball_enum.trailing_pairs
     solves = 0
 
@@ -192,15 +289,11 @@ def test_pair_solves_once_per_budget_and_residue(monkeypatch, p, m, radius, mode
         return solve(*args)
 
     monkeypatch.setattr(ball_enum, "trailing_pairs", counting)
-    for mode in modes:
-        solves = 0
-        got = list(lattice_shell_points(L, radius, mode))
-        assert 0 < solves <= (radius + 1) * D * E + 1, (mode, solves)
-        assert got == sorted(got) and all(v in L and l1norm(v) == radius for v in got)
-        if radius <= 8:  # the filtered shell walk is cheap enough here
-            slow = [v for v in shell_points(m, radius, "all" if mode == "half" else mode)
-                    if v in L and (mode != "half" or lead(v) < 0)]
-            assert got == slow, mode
+    search(L)
+    (walk,) = walkers
+    max_keys, max_solves = limit
+    assert 0 < table_keys(walk) <= max_keys and 0 < solves <= max_solves, \
+        (table_keys(walk), solves)
 
 
 def test_low_reuse_walk_streams():
@@ -215,6 +308,24 @@ def test_low_reuse_walk_streams():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+
+
+def test_low_reuse_search_walker_streams():
+    # The same lattice through the walker bfieldr holds, over radii 0..16:
+    # the prefixes walked stay below the (radius + 1) * index keys, so no
+    # table fills and the memory stays that of one streaming shell.
+    L = from_congruences(CongruenceSystem((100003,), ((1, 343, 2401, 16807, 17646, 23519),)))
+    tracemalloc.start()
+    try:
+        walk = shell_walker(L, "half")
+        for d in range(17):
+            for _ in walk(d):
+                pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table_keys(walk) == 0
     assert peak < 64 * 1024, peak
 
 

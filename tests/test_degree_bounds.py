@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from invlat import degree_bounds
-from invlat.ball_enum import lattice_shell_points, shell_points
+from invlat.ball_enum import lattice_shell_points, shell_points, shell_walker
 from invlat.constructions import SharpCaseSpec, sharp_case_lattice
 from invlat.degree_bounds import (
     CapExceededError,
@@ -318,18 +318,49 @@ class TestAgainstShellSearch:
         L = sharp(101, 4)
         pulled = [0]
 
-        def counting(L, d, mode):
-            for v in lattice_shell_points(L, d, mode):
-                pulled[0] += 1
-                yield v
+        def counting(L, mode):
+            walk = shell_walker(L, mode)
 
-        reference = shell_generation_search(L, "all", "bfieldr", walk=counting)
+            def counted(d):
+                for v in walk(d):
+                    pulled[0] += 1
+                    yield v
+            return counted
+
+        reference = shell_generation_search(
+            L, "all", "bfieldr", walk=lambda L, d, mode: counting(L, mode)(d))
         full = pulled[0]
         pulled[0] = 0
-        monkeypatch.setattr(degree_bounds, "lattice_shell_points", counting)
+        monkeypatch.setattr(degree_bounds, "shell_walker", counting)
         assert bfieldr(L) == reference
         last_shell = len(list(lattice_shell_points(L, reference.value, "all")))
-        assert pulled[0] <= full // 2 + last_shell, (pulled[0], full, last_shell)
+        assert 0 < pulled[0] <= full // 2 + last_shell, (pulled[0], full, last_shell)
+
+
+def filtered_shell(L, d, mode):
+    """The slow reference walk: shell_points filtered by membership."""
+    return [v for v in shell_points(L.dimension, d, mode) if v in L]
+
+
+# single rows on both sides of the walker's split/stream choice (small and
+# large index, gcd(n, row) > 1, a first pivot of 2), m = 4..6
+SPLIT_SYSTEMS = [CongruenceSystem((n,), (row,)) for n, row in (
+    (23, (1, 22, 2, 21, 3, 20)), (12, (2, 4, 6, 10, 8)), (8, (1, 2, 4, 6, 2, 4)),
+    (211, (1, 5, 25, 125, 203)), (97, (1, 10, 3, 30)), (30, (6, 10, 15, 1)))]
+
+
+class TestSplitWalkSearches:
+    """The searches on lattices the split walk serves, against the whole-shell
+    search over the filtered reference walk, which shares no walker code."""
+
+    @pytest.mark.parametrize("system", SPLIT_SYSTEMS, ids=str)
+    def test_against_filtered_shell_search(self, system):
+        L = from_congruences(system)
+        for fast, mode, which in ((bfieldr, "all", "bfieldr"),
+                                  (bfield, "nonnegative", "bfield")):
+            slow = partial(shell_generation_search, mode=mode, which=which,
+                           walk=filtered_shell)
+            assert generation_outcome(fast, L, None) == generation_outcome(slow, L, None)
 
 
 class TestRelations:

@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invlat.ball_enum import lattice_shell_points
 from invlat.constructions import SharpCaseSpec, sharp_case_lattice
@@ -17,6 +18,7 @@ from invlat.geomnum import (
     gen_deg_basis,
     mahler_basis,
     minkowski_check,
+    restrict_forms,
     successive_minima,
 )
 from invlat.lattice_core import (
@@ -31,7 +33,7 @@ from invlat.lattice_core import (
 from invlat.sampling import random_congruence_systems
 
 import oracles
-from test_degree_bounds import seeded_systems
+from test_degree_bounds import SPLIT_SYSTEMS, filtered_shell, seeded_systems
 
 
 def kernel(n, row):
@@ -42,7 +44,7 @@ def det_of(vectors):
     return oracles.det_laplace([list(r) for r in zip(*vectors)])
 
 
-def rank_successive_minima(L, cap=None):
+def rank_successive_minima(L, cap=None, walk=lattice_shell_points):
     """Reference successive_minima: every member of each whole shell, all
     orthants, added to a GeneratedLattice and kept when it raises the rank."""
     m = L.dimension
@@ -52,7 +54,7 @@ def rank_successive_minima(L, cap=None):
     values = []
     witnesses = []
     for d in range(1, cap + 1):
-        for v in lattice_shell_points(L, d, "all"):
+        for v in walk(L, d, "all"):
             acc.add(v)
             if acc.rank > len(values):
                 values.append(d)
@@ -131,6 +133,34 @@ class TestSuccessiveMinima:
     def test_matches_rank_search_on_sharp_cases(self, p, m):
         L = from_congruences(sharp_case_lattice(SharpCaseSpec(p, m)))
         assert successive_minima(L) == rank_successive_minima(L)
+
+    @pytest.mark.parametrize("system", SPLIT_SYSTEMS, ids=str)
+    def test_split_walk_against_filtered_rank_search(self, system):
+        # the lattices of the split walk, against the rank search over the
+        # filtered reference walk, which shares no walker code
+        L = from_congruences(system)
+        assert successive_minima(L) == rank_successive_minima(L, walk=filtered_shell)
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(st.data())
+    def test_restricted_forms_span_the_witness_kernel(self, data):
+        # the forms updated in place, step by step, against integer_kernel
+        # of all the kept vectors: the same lattice, compared through the
+        # oracle's integer span test
+        m = data.draw(st.integers(1, 5), label="m")
+        vectors = data.draw(st.lists(st.tuples(*[st.integers(-5, 5)] * m), max_size=m + 2),
+                            label="vectors")
+        forms = integer_kernel([], m)
+        kept = []
+        for v in vectors:
+            if not any(sum(a * x for a, x in zip(f, v)) for f in forms):
+                continue  # in the span: the search keeps no such vector
+            kept.append(v)
+            forms = restrict_forms(forms, v)
+            expected = integer_kernel(kept, m)
+            assert len(forms) == len(expected) == m - len(kept)
+            assert all(oracles.in_integer_span(expected, f, m) for f in forms)
+            assert all(oracles.in_integer_span(forms, f, m) for f in expected)
 
     def test_no_smaller_independent_sets(self):
         # definitional check: below lambda_i there is no rank-i set
