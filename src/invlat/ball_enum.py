@@ -273,15 +273,6 @@ def shell_walker(L, mode="all"):
     return walk
 
 
-def lattice_shell_points(L, radius, mode="all"):
-    """The members of L on one shell: shell_walker(L, mode)(radius).
-
-    A search that walks several shells should hold one shell_walker, which
-    keeps its solved suffixes from shell to shell.
-    """
-    return shell_walker(L, mode)(radius)
-
-
 def ball_count(dimension, radius, mode="all"):
     """Closed-form number of points with l1norm <= radius (dimension >= 0).
 

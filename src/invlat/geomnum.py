@@ -45,10 +45,9 @@ def successive_minima(L, cap=None) -> SuccessiveMinima:
     The span test is a set of linear forms, a basis of the integer kernel of
     the witnesses (the identity before the first): v lies outside the span
     iff some form is nonzero on v.  The forms change only when a witness is
-    kept, and then in place (restrict_forms).  At rank m - 1 the one form
-    left is the primitive determinant form, up to sign.  Only half of each
-    shell is walked: -v spans what v spans and comes first.  index * e_i
-    always lies in L, which makes index a safe default cap.
+    kept; at rank m - 1 the one form left is the determinant form.  Only
+    half of each shell is walked: -v spans what v spans and comes first.
+    index * e_i always lies in L, which makes index a safe default cap.
     """
     m = L.dimension
     if cap is None:
@@ -64,20 +63,8 @@ def successive_minima(L, cap=None) -> SuccessiveMinima:
                 witnesses.append(v)
                 if len(values) == m:
                     return SuccessiveMinima(tuple(values), tuple(witnesses))
-                forms = restrict_forms(forms, v)
+                forms = integer_kernel(witnesses, m)
     raise CapExceededError("successive_minima", cap)
-
-
-def restrict_forms(forms, v):
-    """Basis of the integer combinations of forms that vanish on v.
-
-    Those combinations are the integer kernel of the one row of the forms'
-    values on v, so when forms is a basis of the integer kernel of some
-    vectors, the result is one of the integer kernel of those vectors and v.
-    """
-    on_v = [sum(a * x for a, x in zip(f, v)) for f in forms]
-    return [tuple(sum(c * f[j] for c, f in zip(coeffs, forms)) for j in range(len(v)))
-            for coeffs in integer_kernel([on_v], len(forms))]
 
 
 @dataclass(frozen=True)

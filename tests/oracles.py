@@ -3,8 +3,9 @@
 Everything here works straight from the congruence arithmetic or from
 first-principles linear algebra over Fractions, sharing no code with the
 package under test, so disagreement always means a real bug on one side.
-The one exception is lattice_points_up_to at the end, which chains the
-package's shell walker and is checked against these oracles.
+The exceptions are lattice_shell_points and lattice_points_up_to at the
+end, which drive the package's shell walker and are checked against these
+oracles.
 """
 
 from fractions import Fraction
@@ -204,6 +205,14 @@ def shell_count(dimension, radius, mode="all"):
         2 ** k * comb(dimension, k) * comb(radius - 1, k - 1)
         for k in range(1, min(dimension, radius) + 1)
     )
+
+
+def lattice_shell_points(L, radius, mode="all"):
+    """The members of L on one shell, through a fresh invlat shell_walker:
+    the walk a search makes on the first shell it reaches."""
+    from invlat.ball_enum import shell_walker
+
+    return shell_walker(L, mode)(radius)
 
 
 def lattice_points_up_to(L, radius, mode="all"):

@@ -9,7 +9,6 @@ from invlat import ball_enum, degree_bounds, geomnum
 from invlat.ball_enum import (
     LATTICE_MODES,
     ball_count,
-    lattice_shell_points,
     points_up_to,
     shell_points,
     shell_walker,
@@ -19,6 +18,7 @@ from invlat.lattice_core import CongruenceSystem, LatticeBasis, from_congruences
 from invlat.sampling import random_congruence_systems
 
 import oracles
+from oracles import lattice_shell_points
 
 
 def test_shells_partition_the_ball():
@@ -189,6 +189,37 @@ def test_lattice_shell_points_trailing_block_with_offset():
         if D > 1 and a and found[m] < 3 and (m < 4 or L.index <= 12):
             found[m] += 1
             assert_walker_matches_references(system, 7 if m < 5 else 5)
+
+
+@pytest.mark.parametrize("p, m, radius, modes", [
+    (53, 6, 18, ("half",)),
+    (23, 6, 8, LATTICE_MODES),
+])
+def test_pair_solves_once_per_budget_and_residue(monkeypatch, p, m, radius, modes):
+    # Work gate on one shell through a fresh walker: the last two
+    # coordinates are solved once per (budget, label) pair key, at most
+    # D * E labels per budget, plus once for the all-zero half prefix, not
+    # once per prefix (39,445 prefixes on the (53, 6) radius-18 half).
+    L = from_congruences(sharp_case_lattice(SharpCaseSpec(p, m)))
+    D, _, E = trailing_block(L)
+    solve = ball_enum.trailing_pairs
+    solves = 0
+
+    def counting(*args):
+        nonlocal solves
+        solves += 1
+        return solve(*args)
+
+    monkeypatch.setattr(ball_enum, "trailing_pairs", counting)
+    for mode in modes:
+        solves = 0
+        got = list(lattice_shell_points(L, radius, mode))
+        assert 0 < solves <= (radius + 1) * D * E + 1, (mode, solves)
+        assert got == sorted(got) and all(v in L and l1norm(v) == radius for v in got)
+        if radius <= 8:  # the filtered shell walk is cheap enough here
+            slow = [v for v in shell_points(m, radius, "all" if mode == "half" else mode)
+                    if v in L and (mode != "half" or lead(v) < 0)]
+            assert got == slow, mode
 
 
 def table_keys(walk):

@@ -3,9 +3,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from invlat.ball_enum import lattice_shell_points
 from invlat.constructions import SharpCaseSpec, sharp_case_lattice
 from invlat.degree_bounds import CapExceededError, bfield
 from invlat.geomnum import (
@@ -18,7 +16,6 @@ from invlat.geomnum import (
     gen_deg_basis,
     mahler_basis,
     minkowski_check,
-    restrict_forms,
     successive_minima,
 )
 from invlat.lattice_core import (
@@ -33,6 +30,7 @@ from invlat.lattice_core import (
 from invlat.sampling import random_congruence_systems
 
 import oracles
+from oracles import lattice_shell_points
 from test_degree_bounds import SPLIT_SYSTEMS, filtered_shell, seeded_systems
 
 
@@ -140,27 +138,6 @@ class TestSuccessiveMinima:
         # filtered reference walk, which shares no walker code
         L = from_congruences(system)
         assert successive_minima(L) == rank_successive_minima(L, walk=filtered_shell)
-
-    @settings(max_examples=80, deadline=None, database=None)
-    @given(st.data())
-    def test_restricted_forms_span_the_witness_kernel(self, data):
-        # the forms updated in place, step by step, against integer_kernel
-        # of all the kept vectors: the same lattice, compared through the
-        # oracle's integer span test
-        m = data.draw(st.integers(1, 5), label="m")
-        vectors = data.draw(st.lists(st.tuples(*[st.integers(-5, 5)] * m), max_size=m + 2),
-                            label="vectors")
-        forms = integer_kernel([], m)
-        kept = []
-        for v in vectors:
-            if not any(sum(a * x for a, x in zip(f, v)) for f in forms):
-                continue  # in the span: the search keeps no such vector
-            kept.append(v)
-            forms = restrict_forms(forms, v)
-            expected = integer_kernel(kept, m)
-            assert len(forms) == len(expected) == m - len(kept)
-            assert all(oracles.in_integer_span(expected, f, m) for f in forms)
-            assert all(oracles.in_integer_span(forms, f, m) for f in expected)
 
     def test_no_smaller_independent_sets(self):
         # definitional check: below lambda_i there is no rank-i set
