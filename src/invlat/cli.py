@@ -299,26 +299,23 @@ def cmd_basis(args):
 
 def _relations_case(item):
     system, _ = item
-    ok, values = verify_bound_relations(from_congruences(system))
-    return ok, system, values
+    return verify_bound_relations(from_congruences(system))
 
 
 def _minkowski_case(item):
     system, _ = item
     mk = geomnum.minkowski_check(from_congruences(system))
-    return mk.ok, system, {"product": mk.product, "bound": mk.bound}
+    return mk.ok, {"product": mk.product, "bound": mk.bound}
 
 
 def _blob_case(item):
     system, _ = item
-    ok, detail = rank2.blob_check(from_congruences(system))
-    return ok, system, detail
+    return rank2.blob_check(from_congruences(system))
 
 
 def _bite_case(item):
     system, seed = item
-    ok, detail = rank2.bite_check(from_congruences(system), seed=seed)
-    return ok, system, detail
+    return rank2.bite_check(from_congruences(system), seed=seed)
 
 
 def _verify_hrd(args, jobs):
@@ -355,19 +352,20 @@ def _verify_counterexample(args, jobs):
 
 def _verify_sampled(worker, args, jobs):
     """A property suite over seeded random systems; worker gets (system,
-    seed) with the seed advancing by one per system."""
+    seed) with the seed advancing by one per system and returns (ok,
+    detail)."""
     systems = random_congruence_systems(
         args.random, args.seed, m_choices=tuple(parse_range(args.m)),
         n_max=args.nmax)
     items = [(s, args.seed + i) for i, s in enumerate(systems)]
-    results = parallel_map(worker, items, jobs)
-    violations = [s.to_json() for ok, s, _ in results if not ok]
+    results = list(zip(systems, parallel_map(worker, items, jobs)))
+    violations = [s.to_json() for s, (ok, _) in results if not ok]
     rows = [(s.moduli[0], s.m, csv_cell(s.coefficients[0]), ok)
-            for ok, s, _ in results]
+            for s, (ok, _) in results]
     payload = {
         "suite": args.suite,
         "cases": [{"system": s.to_jsonable(), "ok": ok, "detail": d}
-                  for ok, s, d in results],
+                  for s, (ok, d) in results],
         "ok": not violations,
     }
     return payload, ["n", "m", "coefficients", "ok"], rows, violations

@@ -403,6 +403,20 @@ class TestParallelism:
     def test_bad_jobs(self):
         assert run(["verify", "hrd", "--n", "1..4", "--jobs", "0"])[0] == 2
 
+    def test_bad_env_threads_named(self, monkeypatch, capsys):
+        monkeypatch.setenv("INVLAT_THREADS", "abc")
+        assert run(["verify", "hrd", "--n", "3"]) == (2, "")
+        assert capsys.readouterr().err == \
+            "error: INVLAT_THREADS must be an integer, got 'abc'\n"
+
+    def test_no_worker_outlives_the_process(self):
+        # run() reads stdout to its end, so a worker left holding the pipe
+        # would run into the timeout
+        argv = ["verify", "relations", "--random", "8", "--format", "json"]
+        proc = launch("-m", "invlat", *argv, "--jobs", "2")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == run(argv)[1]
+
     def test_worker_count_clamp(self):
         assert worker_count(2, 40, 2) == 2
         assert worker_count(64, 40, 2) == 2
@@ -416,7 +430,7 @@ def launch(*args):
     src = str(Path(invlat.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def declared_script(name):
