@@ -410,8 +410,8 @@ class TestParallelism:
             "error: INVLAT_THREADS must be an integer, got 'abc'\n"
 
     def test_no_worker_outlives_the_process(self):
-        # run() reads stdout to its end, so a worker left holding the pipe
-        # would run into the timeout
+        # subprocess.run reads stdout to its end, so a worker left holding
+        # the pipe would run into launch's timeout
         argv = ["verify", "relations", "--random", "8", "--format", "json"]
         proc = launch("-m", "invlat", *argv, "--jobs", "2")
         assert proc.returncode == 0, proc.stderr
