@@ -212,8 +212,9 @@ def shell_walker(L, mode="all"):
 
     P = m - m // 2
     memo = None
-    if m > 3 and L.congruence is not None:
-        row, n = L.congruence
+    rows, moduli = L.presentation
+    if m > 3 and len(moduli) == 1:
+        (row,), (n,) = rows, moduli
         memo = {j: {} for j in range(P, m - 1)}
         # gcds[i] = gcd(row[i:], n): v_0 .. v_{i-1} extend to a member iff
         # their label is divisible by gcds[i], and then v_i runs over one

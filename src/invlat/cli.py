@@ -189,8 +189,7 @@ def cmd_bounds(args):
         if w not in BOUND_FUNCS:
             raise ValueError(f"unknown bound {w!r}")
     reports = {w: BOUND_FUNCS[w](L, cap=args.cap) for w in which}
-    # key coset witnesses by the congruence labels, not box residues
-    bounds = {w: reports[w].to_jsonable(system.label) for w in which}
+    bounds = {w: reports[w].to_jsonable() for w in which}
 
     def pretty():
         # a generator: the per-coset lines are built only for pretty output
@@ -375,7 +374,8 @@ def _verify_sharp(args, jobs):
     cases = []
     violations = []
     for p in parse_range(args.primes):
-        if not constructions.is_prime(p):
+        # the sharp family is defined for odd primes only
+        if p == 2 or not constructions.is_prime(p):
             continue
         for m in parse_range(args.m):
             if m >= p:
@@ -438,7 +438,7 @@ SCAN_HEADER = ["p", "m", "family", "coefficients", "dspan", "bfield", "bfieldr",
 
 def _scan_cell(cell):
     family, p, m, samples, seed, cap = cell
-    if m >= p:
+    if m >= p or (family == "sharp" and p == 2):
         return []
     if family == "sharp":
         systems = [constructions.sharp_case_lattice(constructions.SharpCaseSpec(p, m))]

@@ -12,8 +12,8 @@ Values are exact, not bounds; witnesses are deterministic, the first hit in
 shell-then-lexicographic order.  bfield and bfieldr walk the lattice members
 of each shell directly, in that same order, through one ball_enum.shell_walker
 per search, which keeps the suffixes it solves from shell to shell.
-dspan is a breadth-first search over the cosets Z^m/L, one layer per norm,
-whose witnesses are the minimal-norm, lexicographically least
+dspan is a breadth-first search over the coset labels of L.presentation,
+one layer per norm, whose witnesses are the minimal-norm, lex-least
 representatives: the points a walk of the nonnegative shells would hit first.
 """
 
@@ -39,10 +39,10 @@ class CapExceededError(RuntimeError):
 class DegreeBoundReport:
     """One computed bound plus the evidence for it.
 
-    witnesses is a dict {coset key: minimal nonnegative representative} for
-    dspan and a tuple of generating vectors for bfield/bfieldr.  Keys are the
-    canonical box residues of L.reduce; congruence labels, when the lattice
-    came from a system, come through to_jsonable(label).
+    witnesses is a dict {coset label: minimal nonnegative representative}
+    for dspan and a tuple of generating vectors for bfield/bfieldr.  Labels
+    are those of L.presentation: CongruenceSystem.label when the lattice
+    came from a system, the residues of N B^-1 v mod N on a bare basis.
     """
 
     which: str
@@ -51,15 +51,9 @@ class DegreeBoundReport:
     index: int
     search_cap: int
 
-    def to_jsonable(self, label=None):
-        """JSON-ready dict.  label, a function of a vector such as
-        CongruenceSystem.label, keys dspan witnesses by label(witness) in
-        place of their box residues."""
+    def to_jsonable(self):
         if self.which == "dspan":
-            wit = {
-                ",".join(map(str, label(vec) if label else key)): list(vec)
-                for key, vec in self.witnesses.items()
-            }
+            wit = {",".join(map(str, key)): list(vec) for key, vec in self.witnesses.items()}
         else:
             wit = [list(v) for v in self.witnesses]
         return {
@@ -79,9 +73,9 @@ def dspan(L, cap=None) -> DegreeBoundReport:
 
     The least norm of a nonnegative point in a coset is its distance from 0
     in the Cayley digraph of Z^m/L on the unit vectors, so dspan is the
-    eccentricity of 0, found in at most m*index reductions.  Layer d+1
-    steps each coset k of layer d by every e_i; a coset reached for the
-    first time keeps the lexicographically least candidate w(k) + e_i.
+    eccentricity of 0, found in at most m*index steps.  Layer d+1 adds to
+    each coset label k of layer d the label of every e_i; a coset reached
+    for the first time keeps the lexicographically least candidate w(k) + e_i.
 
     That candidate is the minimal-norm, lexicographically least
     representative: such a representative v has some v_i > 0, and v - e_i is
@@ -90,15 +84,16 @@ def dspan(L, cap=None) -> DegreeBoundReport:
     """
     if cap is None:
         cap = L.index - 1
-    zero = (0,) * L.dimension
-    seen = {zero: zero}
+    rows, moduli = L.presentation
+    steps = list(enumerate(zip(*rows)))
+    seen = {(0,) * len(moduli): (0,) * L.dimension}
     layer = list(seen.items())
     d = 0
     while len(seen) < L.index and d < cap:
         reached = {}
         for key, w in layer:
-            for i in range(L.dimension):
-                nxt = L.reduce(key[:i] + (key[i] + 1,) + key[i + 1:])
+            for i, step in steps:
+                nxt = tuple([(k + s) % n for k, s, n in zip(key, step, moduli)])
                 if nxt in seen:
                     continue
                 cand = w[:i] + (w[i] + 1,) + w[i + 1:]

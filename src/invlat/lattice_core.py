@@ -304,16 +304,24 @@ class LatticeBasis:
     LatticeBasis values are equal exactly when they present the same lattice.
     The determinant of the columns equals +index.
 
-    congruence is (row, n) for a lattice that from_congruences built from a
-    one-row system, and None otherwise: the congruence label row . v mod n
-    adds over vectors and is zero exactly on L.  It takes no part in
-    equality.
+    presentation is (rows, moduli), congruences with kernel exactly L: the
+    label of v, the residues of row . v mod n, names the coset of v.  It is
+    the system's own for from_congruences, else the rows of N B^-1 mod N for
+    N = index (column j is coords(N e_j)).  It takes no part in equality.
     """
 
     dimension: int
     columns: tuple
     index: int
-    congruence: tuple = field(default=None, compare=False, repr=False)
+    presentation: tuple = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.presentation is None:
+            # N kills Z^m/L, so every N e_j is a member
+            n, m = self.index, self.dimension
+            cols = [self.coords([n if k == j else 0 for k in range(m)]) for j in range(m)]
+            rows = tuple(tuple(c[i] % n for c in cols) for i in range(m))
+            object.__setattr__(self, "presentation", (rows, (n,) * m))
 
     @classmethod
     def from_generators(cls, vectors, dimension=None):
@@ -385,12 +393,10 @@ def from_congruences(system) -> LatticeBasis:
         row = list(system.coefficients[i]) + [0] * r
         row[m + i] = system.moduli[i]
         rows.append(row)
-    kernel = integer_kernel(rows, m + r)
-    projected = [v[:m] for v in kernel]
-    L = LatticeBasis.from_generators(projected, dimension=m)
-    if r == 1:
-        return LatticeBasis(m, L.columns, L.index, (system.coefficients[0], system.moduli[0]))
-    return L
+    # every n_i e_j is in the kernel, so the projection has full rank
+    cols, _ = hnf_columns([v[:m] for v in integer_kernel(rows, m + r)], m)
+    index = math.prod(cols[i][i] for i in range(m))
+    return LatticeBasis(m, tuple(cols), index, (system.coefficients, system.moduli))
 
 
 def is_generating(L, vectors):

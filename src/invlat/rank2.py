@@ -265,21 +265,14 @@ class HrdReport:
         return json.dumps(asdict(self))
 
 
-def hrd_verify(n, mode="all", jobs=1) -> HrdReport:
+def hrd_verify(n, jobs=1) -> HrdReport:
     """Sweep the index-n sublattices and check the halving bound.
 
-    mode restricts the report to "excluded" or "nonexcluded" rows ("all"
-    keeps everything).  Rows are independent, so they can fan out over a
-    worker pool; output order stays the enumeration order regardless.
+    Rows are independent, so they can fan out over a worker pool; output
+    order stays the enumeration order regardless.
     """
-    if mode not in ("all", "excluded", "nonexcluded"):
-        raise ValueError("mode must be all, excluded or nonexcluded")
     items = [(n, a, b, d) for a, b, d in _sublattice_shapes(n)]
     rows = parallel_map(_hrd_row, items, jobs)
-    if mode == "excluded":
-        rows = [r for r in rows if r.excluded]
-    elif mode == "nonexcluded":
-        rows = [r for r in rows if not r.excluded]
     nonexcluded = [r for r in rows if not r.excluded]
     violations = tuple(
         f"n={r.n} a={r.a} b={r.b} d={r.d}: {note}" for r in rows for note in r.notes

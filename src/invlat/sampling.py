@@ -29,6 +29,9 @@ def random_congruence_systems(count, seed, m_choices=(2, 3, 4), n_max=50,
                               prime_only=False):
     if count < 0 or n_max < 4:
         raise ValueError("need count >= 0 and n_max >= 4")
+    for m in m_choices:
+        if not 1 <= m < n_max:
+            raise ValueError(f"need 1 <= m < n_max, got m = {m}, n_max = {n_max}")
     rng = random.Random(seed)
     systems = []
     for _ in range(count):

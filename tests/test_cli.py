@@ -246,6 +246,22 @@ class TestVerify:
         assert [c["missing"] for c in cases] == [1, -1, 2, -2]
         assert all(c["ok"] for c in cases)
 
+    def test_sharp_skips_p_two(self):
+        # the sharp family needs an odd prime; p = 2 is skipped like a composite
+        code, text = run(["verify", "sharp", "--primes", "2..5", "--m", "1",
+                          "--format", "json"])
+        assert code == 0
+        assert text == run(["verify", "sharp", "--primes", "3..5", "--m", "1",
+                            "--format", "json"])[1]
+        assert [c["p"] for c in json.loads(text)["cases"]] == [3, 3, 5, 5]
+
+    def test_sampled_m_out_of_range_named(self, capsys):
+        for m, nmax, bad in (("6", "4", 6), ("0..2", "4", 0), ("2..12", "12", 12)):
+            argv = ["verify", "relations", "--random", "2", "--m", m, "--nmax", nmax]
+            assert run(argv) == (2, ""), argv
+            assert capsys.readouterr().err == \
+                f"error: need 1 <= m < n_max, got m = {bad}, n_max = {nmax}\n"
+
     def test_sampled_suites(self):
         for suite in ("relations", "minkowski"):
             code, text = run(["verify", suite, "--random", "10", "--seed", "3",
@@ -313,6 +329,16 @@ class TestScan:
         code, text = run(args + ["--m", "2..4"])
         assert code == 0
         assert [r for r in rows if r["m"] <= 4] == json.loads(text)["rows"]
+
+    def test_sharp_skips_p_two(self):
+        code, text = run(["scan", "--primes", "2..7", "--m", "1", "--format", "json"])
+        assert code == 0
+        assert [r["p"] for r in json.loads(text)["rows"]] == [3, 5, 7]
+        # the random family is defined for every prime, 2 included
+        code, text = run(["scan", "--primes", "2..3", "--m", "1", "--family", "random",
+                          "--samples", "1", "--format", "json"])
+        assert code == 0
+        assert [r["p"] for r in json.loads(text)["rows"]] == [2, 3]
 
     def test_no_primes_in_range(self):
         assert run(["scan", "--primes", "4", "--m", "2"])[0] == 2

@@ -5,7 +5,7 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invlat import degree_bounds
+from invlat import degree_bounds, lattice_core
 from invlat.ball_enum import shell_points, shell_walker
 from invlat.constructions import SharpCaseSpec, sharp_case_lattice
 from invlat.degree_bounds import (
@@ -33,16 +33,17 @@ def kernel(n, row):
     return from_congruences(CongruenceSystem((n,), (tuple(row),)))
 
 
-def shell_dspan(L, cap=None):
+def shell_dspan(L, label, cap=None):
     """Reference dspan: every nonnegative point, shell by shell in lex order,
-    keyed by its coset; the first point seen in a coset is its witness."""
+    keyed by label(point), which must name its coset; the first point seen
+    in a coset is its witness."""
     if cap is None:
         cap = L.index - 1
     target = L.index
     seen = {}
     for d in range(cap + 1):
         for v in shell_points(L.dimension, d, "nonnegative"):
-            key = L.reduce(v)
+            key = label(v)
             if key not in seen:
                 seen[key] = v
         if len(seen) == target:
@@ -82,14 +83,20 @@ def sharp(p, m):
     return from_congruences(sharp_case_lattice(SharpCaseSpec(p, m)))
 
 
-def outcome(search, L, cap):
+def outcome(search, L, cap, keyed=True):
     """Everything a dspan call shows: the full report with its witness dict
-    in order, or the cap error."""
+    in order (only its vectors unless keyed), or the cap error."""
     try:
         rep = search(L, cap=cap)
     except CapExceededError as exc:
         return ("cap", exc.which, exc.cap)
-    return (rep.which, rep.value, rep.index, rep.search_cap, list(rep.witnesses.items()))
+    wit = rep.witnesses.items() if keyed else rep.witnesses.values()
+    return (rep.which, rep.value, rep.index, rep.search_cap, list(wit))
+
+
+def system_shell_dspan(system):
+    """shell_dspan keyed by the congruence label of the oracle."""
+    return partial(shell_dspan, label=partial(oracles.label, system))
 
 
 def seeded_systems(count, seed):
@@ -151,7 +158,7 @@ class TestDspan:
             assert len(rep.witnesses) == L.index
             best = {}
             for p in oracles.nonneg_points(m, rep.value):
-                key = L.reduce(p)
+                key = oracles.label(system, p)
                 cand = (l1norm(p), p)
                 if key not in best or cand < best[key]:
                     best[key] = cand
@@ -186,7 +193,7 @@ class TestDspan:
             rep = dspan(from_congruences(system))
             expected = {",".join(map(str, lab)): list(p)
                         for lab, p in oracles.dspan_witnesses(system).items()}
-            assert list(rep.to_jsonable(system.label)["witnesses"].items()) == \
+            assert list(rep.to_jsonable()["witnesses"].items()) == \
                 list(expected.items())
 
 
@@ -194,13 +201,18 @@ class TestDspanAgainstShellSearch:
     def test_seeded_systems(self):
         for system in seeded_systems(220, 27):
             L = from_congruences(system)
+            shell = system_shell_dspan(system)
             for cap in CAPS:
-                assert outcome(dspan, L, cap) == outcome(shell_dspan, L, cap), (system, cap)
+                assert outcome(dspan, L, cap) == outcome(shell, L, cap), (system, cap)
 
     def test_bare_bases(self):
+        # no label independent of the presentation: the witness vectors in
+        # order, from a search keyed by box residues
         for L in seeded_bases(80, 28):
+            shell = partial(shell_dspan, label=L.reduce)
             for cap in CAPS:
-                assert outcome(dspan, L, cap) == outcome(shell_dspan, L, cap), (L, cap)
+                assert outcome(dspan, L, cap, keyed=False) == \
+                    outcome(shell, L, cap, keyed=False), (L, cap)
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(st.data())
@@ -214,25 +226,30 @@ class TestDspanAgainstShellSearch:
                             label="row"))
             for n in moduli)
         cap = data.draw(st.one_of(st.none(), st.integers(-2, 8)), label="cap")
-        L = from_congruences(CongruenceSystem(moduli, rows))
-        assert outcome(dspan, L, cap) == outcome(shell_dspan, L, cap)
+        system = CongruenceSystem(moduli, rows)
+        L = from_congruences(system)
+        assert outcome(dspan, L, cap) == outcome(system_shell_dspan(system), L, cap)
 
-    @pytest.mark.parametrize("n, row", [(1399, (1, 1398)), (401, (1, 2, 398))])
-    def test_reduce_calls_at_most_m_index_plus_one(self, monkeypatch, n, row):
+    @pytest.mark.parametrize("n, row", [(1399, (1, 1398)), (401, (1, 400, 2))])
+    def test_steps_by_label_without_reducing(self, monkeypatch, n, row):
         # timing-free work gate: the shell search made about 245,000
-        # reductions on the first lattice
+        # reductions on the first lattice, and a BFS keyed by box residues
+        # up to m * index; stepping by label makes none
         L = kernel(n, row)
-        calls = [0]
-        reduce = LatticeBasis.reduce
+        calls = []
 
-        def counting(self, v):
-            calls[0] += 1
-            return reduce(self, v)
+        def counting(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
 
-        monkeypatch.setattr(LatticeBasis, "reduce", counting)
+        for target, name in ((LatticeBasis, "reduce"), (LatticeBasis, "__contains__"),
+                             (lattice_core, "triangular_reduce")):
+            monkeypatch.setattr(target, name, counting(name, getattr(target, name)))
         rep = dspan(L)
+        assert calls == []
         assert len(rep.witnesses) == L.index
-        assert L.index <= calls[0] <= len(row) * L.index + 1
 
 
 class TestBfield:
@@ -382,8 +399,8 @@ class TestReports:
         assert data["which"] == "dspan"
         assert data["value"] == 2
         assert data["index"] == 4
-        # keys are the canonical box residues of each coset
-        assert set(data["witnesses"]) == {"0,0", "0,1", "0,2", "0,3"}
+        # keys are the congruence labels of each coset
+        assert set(data["witnesses"]) == {"0", "1", "2", "3"}
 
         rep = bfield(kernel(4, (1, 3)))
         data = json.loads(rep.to_json())

@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from invlat.lattice_core import (
     AllColumnsRemovedError,
@@ -32,6 +32,32 @@ def random_system(rng):
     m = rng.choice((2, 3, 4))
     n = rng.randint(m + 1, 24)
     return CongruenceSystem((n,), (tuple(rng.sample(range(1, n), m)),))
+
+
+def presentation_label(L, v):
+    rows, moduli = L.presentation
+    return tuple(sum(a * x for a, x in zip(row, v)) % n for row, n in zip(rows, moduli))
+
+
+@st.composite
+def presented_lattices(draw):
+    """(L, system): kernels of one- and two-row systems, some rows sharing a
+    factor with their modulus, or (bare basis, None)."""
+    m = draw(st.integers(1, 4), label="m")
+    if draw(st.booleans(), label="bare"):
+        gens = draw(st.lists(st.lists(st.integers(-4, 4), min_size=m, max_size=m),
+                             min_size=m, max_size=m), label="generators")
+        try:
+            return LatticeBasis.from_generators(gens, m), None
+        except ValueError:
+            assume(False)
+    moduli, rows = [], []
+    for _ in range(draw(st.integers(1, 2), label="rows")):
+        g, k = draw(st.integers(1, 3), label="factor"), draw(st.integers(2, 6), label="k")
+        moduli.append(g * k)
+        rows.append(tuple(g * draw(st.integers(0, k - 1)) for _ in range(m)))
+    system = CongruenceSystem(tuple(moduli), tuple(rows))
+    return from_congruences(system), system
 
 
 class TestHelpers:
@@ -190,6 +216,28 @@ class TestLatticeBasis:
         L = from_congruences(system)
         residues = {L.reduce(p) for p in oracles.box_points(2, 8)}
         assert len(residues) == L.index
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(presented_lattices())
+    def test_presentation_labels_name_cosets(self, case):
+        # zero exactly on L, and equal exactly where L.reduce is equal
+        L, system = case
+        points = list(oracles.box_points(L.dimension, 3))
+        labels = [presentation_label(L, p) for p in points]
+        for p, lab in zip(points, labels):
+            assert (not any(lab)) == (p in L), (L, p)
+            if system is not None:
+                assert lab == oracles.label(system, p)
+        pairs = set(zip(labels, map(L.reduce, points)))
+        assert len(pairs) == len(set(labels)) == len({r for _, r in pairs})
+
+    def test_presentation_takes_no_part_in_equality(self):
+        system = CongruenceSystem((6, 4), ((1, 5, 2), (2, 0, 2)))
+        L = from_congruences(system)
+        bare = LatticeBasis.from_generators(L.columns)
+        assert L.presentation == (system.coefficients, system.moduli)
+        assert bare.presentation[1] == (L.index,) * 3
+        assert bare == L and hash(bare) == hash(L)
 
     def test_from_generators_rejects_rank_deficit(self):
         with pytest.raises(ValueError):

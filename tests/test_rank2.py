@@ -288,14 +288,6 @@ class TestHrdVerify:
             got = [(r.a, r.b, r.d) for r in rows if r.forms_basis is False]
             assert got == expected
 
-    def test_modes(self):
-        assert all(r.excluded for r in hrd_verify(6, mode="excluded").rows)
-        assert len(hrd_verify(6, mode="excluded").rows) == 3
-        non = hrd_verify(6, mode="nonexcluded").rows
-        assert len(non) == 9 and not any(r.excluded for r in non)
-        with pytest.raises(ValueError):
-            hrd_verify(6, mode="bad")
-
     def test_tiny_indices(self):
         rep1 = hrd_verify(1)
         assert rep1.count == 1 and rep1.excluded_count == 1

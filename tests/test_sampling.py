@@ -46,6 +46,9 @@ class TestRandomSystems:
             random_congruence_systems(-1, seed=0)
         with pytest.raises(ValueError):
             random_congruence_systems(5, seed=0, n_max=3)
+        for choices in ((0, 2), (2, 20)):
+            with pytest.raises(ValueError, match="n_max = 20"):
+                random_congruence_systems(5, seed=0, m_choices=choices, n_max=20)
 
 
 class TestScanCellSystems:
