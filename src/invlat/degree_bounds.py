@@ -52,6 +52,7 @@ class DegreeBoundReport:
     search_cap: int
 
     def to_jsonable(self):
+        """JSON-ready dict; dspan witness labels become comma-joined keys."""
         if self.which == "dspan":
             wit = {",".join(map(str, key)): list(vec) for key, vec in self.witnesses.items()}
         else:
