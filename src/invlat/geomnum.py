@@ -3,9 +3,10 @@
 Successive minima by exhaustive search over the lattice members of each
 shell, the Minkowski product test, short bases refined from minima
 witnesses, and the completion of m - 1 short independent vectors to a
-genuine basis via the determinant linear form.  The rational steps
-(coordinates across a hyperplane, root enclosures) all run on
-fractions.Fraction; nothing is floating point.
+genuine basis via the determinant linear form.  Coordinates across a
+hyperplane come from one fraction-free integer elimination (Bareiss), so
+every solve runs on Python ints; root enclosures run on fractions.Fraction.
+Nothing is floating point.
 """
 
 from __future__ import annotations
@@ -42,29 +43,52 @@ def successive_minima(L, cap=None) -> SuccessiveMinima:
     The lattice members of each shell are walked outward in lex order, and
     any member outside the span of the vectors collected so far is kept, so
     the shell radius at the i-th collection is exactly the i-th minimum.
-    The span test is a set of linear forms, a basis of the integer kernel of
-    the witnesses (the identity before the first): v lies outside the span
-    iff some form is nonzero on v.  The forms change only when a witness is
-    kept; at rank m - 1 the one form left is the determinant form.  Only
-    half of each shell is walked: -v spans what v spans and comes first.
-    index * e_i always lies in L, which makes index a safe default cap.
+    The span test is a set of primitive integer linear forms spanning the
+    forms that vanish on the witnesses (the identity rows before the
+    first): v lies outside the span iff some form is nonzero on v.  The
+    forms change only when a witness w is kept: with a_j = f_j . w and p
+    the first index with a_p != 0, they become a_p f_j - a_j f_p for every
+    j != p, each divided by its content.  At rank m - 1 the one form left
+    is the determinant form up to its content.  Only half of each shell is
+    walked: -v spans what v spans and comes first.  index * e_i always lies
+    in L, which makes index a safe default cap.
     """
-    m = L.dimension
     if cap is None:
         cap = L.index
-    forms = integer_kernel([], m)
-    values = []
-    witnesses = []
+    values, witnesses = zip(*itertools.islice(_minima(L, cap), L.dimension))
+    return SuccessiveMinima(values, witnesses)
+
+
+def _minima(L, cap):
+    """Yield (radius, witness) for each successive minimum in turn, walking
+    no shell beyond the one that holds the last minimum asked for."""
+    m = L.dimension
+    forms = [tuple(1 if k == j else 0 for k in range(m)) for j in range(m)]
     walk = shell_walker(L, "half")
     for d in range(1, cap + 1):
         for v in walk(d):
-            if any(sum(a * x for a, x in zip(f, v)) for f in forms):
-                values.append(d)
-                witnesses.append(v)
-                if len(values) == m:
-                    return SuccessiveMinima(tuple(values), tuple(witnesses))
-                forms = integer_kernel(witnesses, m)
+            a = [sum(c * x for c, x in zip(f, v)) for f in forms]
+            if not any(a):
+                continue
+            yield d, v
+            if len(forms) == 1:
+                return
+            forms = _narrow(forms, a)
     raise CapExceededError("successive_minima", cap)
+
+
+def _narrow(forms, a):
+    """The span forms of successive_minima after keeping w, from a, the
+    values of forms on w (not all zero)."""
+    p = next(j for j, aj in enumerate(a) if aj)
+    fp = forms[p]
+    out = []
+    for j, (f, aj) in enumerate(zip(forms, a)):
+        if j != p:
+            row = [a[p] * c - aj * cp for c, cp in zip(f, fp)]
+            g = math.gcd(*row)
+            out.append(tuple(c // g for c in row))
+    return out
 
 
 @dataclass(frozen=True)
@@ -89,31 +113,47 @@ def minkowski_check(L, sm=None) -> MinkowskiCheck:
     return MinkowskiCheck(sm, product, bound, product <= bound)
 
 
-def _solve_fractions(columns, target):
-    """Solve sum_j x_j columns[j] = target over Q; needs independent columns."""
+def _solve(columns, target):
+    """Solve sum_j x_j columns[j] = target over Q; needs independent columns.
+
+    target may hold ints or Fractions; it is scaled by the lcm of their
+    denominators and eliminated fraction-free (Bareiss, Gauss-Jordan form)
+    on Python ints.  Every entry stays a minor of the augmented matrix, so
+    each division by the previous pivot is exact, and the pivot rows are
+    the ones plain Gauss-Jordan picks.  Returns (nums, den) with den > 0
+    and x_j = nums[j] / den.
+    """
     k = len(columns)
-    n = len(target)
-    aug = [[Fraction(columns[j][r]) for j in range(k)] + [Fraction(target[r])] for r in range(n)]
+    scale = math.lcm(*(t.denominator for t in target))
+    aug = [[col[r] for col in columns] + [t.numerator * (scale // t.denominator)]
+           for r, t in enumerate(target)]
     pivot_rows = []
+    prev = 1
     for c in range(k):
-        pr = None
-        for r in range(n):
-            if r not in pivot_rows and aug[r][c]:
-                pr = r
-                break
+        pr = next((r for r, row in enumerate(aug) if row[c] and r not in pivot_rows), None)
         if pr is None:
             raise DependentInputError("columns are linearly dependent")
         pivot_rows.append(pr)
-        inv = 1 / aug[pr][c]
-        aug[pr] = [t * inv for t in aug[pr]]
-        for r in range(n):
-            if r != pr and aug[r][c]:
-                coef = aug[r][c]
-                aug[r] = [a - coef * b for a, b in zip(aug[r], aug[pr])]
-    for r in range(n):
-        if r not in pivot_rows and aug[r][k]:
-            raise NoSolutionError("target is outside the span of the columns")
-    return [aug[pivot_rows[c]][k] for c in range(k)]
+        prow = aug[pr]
+        pv = prow[c]
+        for r, row in enumerate(aug):
+            if r != pr:
+                f = row[c]
+                aug[r] = [(pv * a - f * b) // prev for a, b in zip(row, prow)]
+        prev = pv
+    if any(row[k] for r, row in enumerate(aug) if r not in pivot_rows):
+        raise NoSolutionError("target is outside the span of the columns")
+    den = prev * scale
+    nums = [aug[r][k] for r in pivot_rows]
+    if den < 0:
+        den, nums = -den, [-t for t in nums]
+    return nums, den
+
+
+def _integer_coords(columns, target):
+    """Coordinates of target over columns, known to be integers."""
+    nums, den = _solve(columns, target)
+    return [t // den for t in nums]
 
 
 def _solve_integer_combo(values, target):
@@ -153,18 +193,41 @@ def mahler_basis(L) -> MahlerBasis:
     and a violation raises, rather than returning a silently weaker basis.
     """
     m = L.dimension
-    sm = successive_minima(L)
-    ucoords = [L.coords(v) for v in sm.witnesses]
+    values, witnesses, basis_amb = zip(*_refined(L))
+    sm = SuccessiveMinima(values, witnesses)
+    basis_amb = list(basis_amb)
+    d = det_int([[basis_amb[c][r] for c in range(m)] for r in range(m)])
+    if abs(d) != L.index:
+        raise InternalError("refined vectors do not form a basis; construction bug")
+    if d < 0:
+        basis_amb[-1] = tuple(-t for t in basis_amb[-1])
+    norms = tuple(l1norm(b) for b in basis_amb)
+    for i, nm in enumerate(norms, start=1):
+        if nm > i * sm.values[i - 1]:
+            raise InternalError(
+                f"basis vector {i} has norm {nm} > {i} * minimum {sm.values[i - 1]}")
+    return MahlerBasis(tuple(basis_amb), norms, sm)
+
+
+def _refined(L):
+    """Yield (radius, witness, vector) for each successive minimum in turn,
+    the vector being the refinement of mahler_basis before its sign fix.
+
+    The i-th vector depends only on witnesses 1..i, so taking the first
+    k of them walks no shell beyond lambda_k.
+    """
+    m = L.dimension
+    ucoords = []
     basis_x = []
-    basis_amb = []
-    for i in range(1, m + 1):
+    for i, (radius, w) in enumerate(_minima(L, L.index), start=1):
+        ucoords.append(L.coords(w))
         if i < m:
-            perp = integer_kernel(ucoords[:i], m)
-            K = integer_kernel([list(w) for w in perp], m)
+            perp = integer_kernel(ucoords, m)
+            K = integer_kernel([list(t) for t in perp], m)
         else:
             K = [tuple(1 if k == j else 0 for k in range(m)) for j in range(m)]
-        cs = [[int(t) for t in _solve_fractions(K, bx)] for bx in basis_x]
-        yv = [int(t) for t in _solve_fractions(K, ucoords[i - 1])]
+        cs = [_integer_coords(K, bx) for bx in basis_x]
+        yv = _integer_coords(K, ucoords[-1])
         if cs:
             fs = integer_kernel([list(c) for c in cs], i)
             if len(fs) != 1:
@@ -181,11 +244,9 @@ def mahler_basis(L) -> MahlerBasis:
         y0 = _solve_integer_combo(f, 1)
         if cs:
             delta = [Fraction(yv[k], a_i) - y0[k] for k in range(i)]
-            s = _solve_fractions(cs, delta)
-            options = []
-            for sj in s:
-                fl = math.floor(sj)
-                options.append((fl,) if fl == sj else (fl, fl + 1))
+            nums, den = _solve(cs, delta)
+            options = [(t // den,) if t % den == 0 else (t // den, t // den + 1)
+                       for t in nums]
             best = None
             for zs in itertools.product(*options):
                 y = list(y0)
@@ -208,18 +269,7 @@ def mahler_basis(L) -> MahlerBasis:
             amb = tuple(-t for t in amb)
             x = [-t for t in x]
         basis_x.append(x)
-        basis_amb.append(amb)
-    d = det_int([[basis_amb[c][r] for c in range(m)] for r in range(m)])
-    if abs(d) != L.index:
-        raise InternalError("refined vectors do not form a basis; construction bug")
-    if d < 0:
-        basis_amb[-1] = tuple(-t for t in basis_amb[-1])
-    norms = tuple(l1norm(b) for b in basis_amb)
-    for i, nm in enumerate(norms, start=1):
-        if nm > i * sm.values[i - 1]:
-            raise InternalError(
-                f"basis vector {i} has norm {nm} > {i} * minimum {sm.values[i - 1]}")
-    return MahlerBasis(tuple(basis_amb), norms, sm)
+        yield radius, w, amb
 
 
 @dataclass(frozen=True)
@@ -299,10 +349,10 @@ def complete_basis_short(L, short_vectors) -> BasisCompletion:
     c = [sum(x[k] * L.columns[k][r] for k in range(m)) for r in range(m)]
     diff = [Fraction(L.index, dstar) - c[r] if r == dstar_index else Fraction(-c[r])
             for r in range(m)]
-    ts = _solve_fractions(bs, diff) if bs else []
+    nums, den = _solve(bs, diff)
     bstar = list(c)
-    for t, b in zip(ts, bs):
-        ft = math.floor(t)
+    for t, b in zip(nums, bs):
+        ft = t // den
         if ft:
             for r in range(m):
                 bstar[r] += ft * b[r]
@@ -333,14 +383,17 @@ def gen_deg_basis(L) -> GenDegBasis:
 
     bound is ceil(index / ceil(m / 2)); within_bound reports whether the
     construction met it on this lattice (guaranteed only asymptotically, so
-    it is a flag and not an assertion).
+    it is a flag and not an assertion).  Only the first m - 1 refined
+    vectors are built, so the minima walk stops at lambda_{m-1}; the m - 1
+    vectors must extend to a basis, and a determinant form that is zero or
+    whose gcd over L is not the index raises InternalError.
     """
     m = L.dimension
-    if m == 1:
-        short = []
-    else:
-        short = list(mahler_basis(L).vectors[: m - 1])
-    comp = complete_basis_short(L, short)
+    short = [b for _, _, b in itertools.islice(_refined(L), m - 1)]
+    try:
+        comp = complete_basis_short(L, short)
+    except (DependentInputError, NoSolutionError) as exc:
+        raise InternalError("refined vectors do not form a basis; construction bug") from exc
     vectors = tuple(short) + (comp.bstar,)
     norms = tuple(l1norm(v) for v in vectors)
     bound = -(-L.index // ((m + 1) // 2))

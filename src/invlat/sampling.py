@@ -5,7 +5,7 @@ alone, across platforms: random.Random(seed), then per system
 
     m ~ uniform over m_choices,
     n ~ uniform over [max(3, m + 1), n_max], redrawn until prime
-        when prime_only is set,
+        when prime_only is set (a range with no prime raises ValueError),
     coefficients = rng.sample(range(1, n), m),
 
 giving a single-row system with distinct nonzero coefficients mod n (so
@@ -32,6 +32,9 @@ def random_congruence_systems(count, seed, m_choices=(2, 3, 4), n_max=50,
     for m in m_choices:
         if not 1 <= m < n_max:
             raise ValueError(f"need 1 <= m < n_max, got m = {m}, n_max = {n_max}")
+        if prime_only and not any(map(is_prime, range(max(3, m + 1), n_max + 1))):
+            raise ValueError(
+                f"no prime in [{max(3, m + 1)}, {n_max}] for m = {m}, n_max = {n_max}")
     rng = random.Random(seed)
     systems = []
     for _ in range(count):

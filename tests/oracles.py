@@ -82,6 +82,39 @@ def rank_of(vectors):
     return rank
 
 
+class DependentColumns(ValueError):
+    pass
+
+
+class OutsideSpan(ValueError):
+    pass
+
+
+def solve_fractions(columns, target):
+    """Solve sum_j x_j columns[j] = target over Q by Gauss-Jordan on
+    Fractions; the pivot for each column is the first row not yet used
+    whose current entry is nonzero.  Raises DependentColumns when a column
+    has no pivot and OutsideSpan when a row left over is inconsistent."""
+    k = len(columns)
+    n = len(target)
+    aug = [[Fraction(columns[j][r]) for j in range(k)] + [Fraction(target[r])] for r in range(n)]
+    pivot_rows = []
+    for c in range(k):
+        pr = next((r for r in range(n) if r not in pivot_rows and aug[r][c]), None)
+        if pr is None:
+            raise DependentColumns
+        pivot_rows.append(pr)
+        inv = 1 / aug[pr][c]
+        aug[pr] = [t * inv for t in aug[pr]]
+        for r in range(n):
+            if r != pr and aug[r][c]:
+                coef = aug[r][c]
+                aug[r] = [a - coef * b for a, b in zip(aug[r], aug[pr])]
+    if any(aug[r][k] for r in range(n) if r not in pivot_rows):
+        raise OutsideSpan
+    return [aug[pivot_rows[c]][k] for c in range(k)]
+
+
 def det_laplace(matrix):
     n = len(matrix)
     if n == 0:

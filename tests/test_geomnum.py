@@ -3,11 +3,14 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from invlat.constructions import SharpCaseSpec, sharp_case_lattice
+from invlat import geomnum
+from invlat.constructions import SharpCaseSpec, is_prime, sharp_case_lattice
 from invlat.degree_bounds import CapExceededError, bfield
 from invlat.geomnum import (
     DependentInputError,
+    NoSolutionError,
     SuccessiveMinima,
     complete_basis_short,
     determinant_form,
@@ -21,6 +24,7 @@ from invlat.geomnum import (
 from invlat.lattice_core import (
     CongruenceSystem,
     GeneratedLattice,
+    InternalError,
     LatticeBasis,
     from_congruences,
     integer_kernel,
@@ -95,14 +99,16 @@ class TestSuccessiveMinima:
             assert oracles.rank_of(sm.witnesses) == m
 
     def test_rank_tracker_matches_rational_rank(self):
-        # successive_minima keeps a member when a kernel form of the kept
-        # vectors is nonzero on it, and the reference search when it raises
-        # the rank of a GeneratedLattice; both must be the rank over Q
+        # successive_minima keeps a member when one of its span forms (the
+        # identity rows, narrowed at each kept vector) is nonzero on it, and
+        # the reference search when it raises the rank of a GeneratedLattice;
+        # both must agree with the rank over Q, as the integer kernel does
         rng = random.Random(34)
         for _ in range(200):
             m = rng.randint(1, 5)
             acc = GeneratedLattice(m)
             chosen = []
+            narrowed = [tuple(int(k == j) for k in range(m)) for j in range(m)]
             for _ in range(m + 3):
                 if chosen and rng.random() < 0.4:
                     # an integer combination of earlier vectors: dependent
@@ -113,12 +119,15 @@ class TestSuccessiveMinima:
                 grows = oracles.rank_of(chosen + [v]) > oracles.rank_of(chosen)
                 forms = integer_kernel(chosen, m)
                 assert any(sum(a * x for a, x in zip(f, v)) for f in forms) == grows
+                values = [sum(a * x for a, x in zip(f, v)) for f in narrowed]
+                assert any(values) == grows
                 rank = acc.rank
                 acc.add(v)
                 assert (acc.rank > rank) == grows
                 assert acc.rank == oracles.rank_of(chosen + [v])
                 if grows:
                     chosen.append(v)
+                    narrowed = geomnum._narrow(narrowed, values)
 
     def test_matches_rank_search_on_seeded_systems(self):
         for i, system in enumerate(seeded_systems(200, 47)):
@@ -151,6 +160,56 @@ class TestSuccessiveMinima:
             for i, lam in enumerate(sm.values, start=1):
                 below = [p for p in oracles.members_up_to(system, lam - 1)]
                 assert oracles.rank_of(below) < i if below else True
+
+
+def solve_outcome(solve, columns, target, dependent, outside):
+    try:
+        return solve(columns, target)
+    except dependent:
+        return "dependent"
+    except outside:
+        return "outside"
+
+
+class TestSolve:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_fraction_oracle(self, data):
+        # the fraction-free solver against Gauss-Jordan on Fractions: same
+        # solutions, and the same verdict on dependent columns and on
+        # targets outside their span
+        n = data.draw(st.integers(0, 5), label="n")
+        k = data.draw(st.integers(0, 5), label="k")
+        entry = st.integers(-6, 6)
+        columns = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                     min_size=k, max_size=k), label="columns")
+        if k >= 2 and data.draw(st.booleans(), label="dependent"):
+            mult = data.draw(st.lists(st.integers(-2, 2), min_size=k - 1, max_size=k - 1))
+            columns[-1] = [sum(a * c[r] for a, c in zip(mult, columns)) for r in range(n)]
+        rational = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))
+        if data.draw(st.booleans(), label="in span"):
+            x = data.draw(st.lists(rational, min_size=k, max_size=k), label="x")
+            target = [sum((a * c[r] for a, c in zip(x, columns)), Fraction(0))
+                      for r in range(n)]
+        else:
+            target = data.draw(st.lists(rational, min_size=n, max_size=n), label="target")
+        expected = solve_outcome(oracles.solve_fractions, columns, target,
+                                 oracles.DependentColumns, oracles.OutsideSpan)
+        got = solve_outcome(geomnum._solve, columns, target,
+                            DependentInputError, NoSolutionError)
+        if isinstance(got, tuple):
+            nums, den = got
+            assert den > 0
+            got = [Fraction(t, den) for t in nums]
+        assert got == expected
+
+    def test_verdicts(self):
+        nums, den = geomnum._solve([(2, 1, 0), (0, 3, 3)], (Fraction(1, 2), Fraction(13, 4), 3))
+        assert [Fraction(t, den) for t in nums] == [Fraction(1, 4), 1]
+        with pytest.raises(DependentInputError):
+            geomnum._solve([(1, 2), (-2, -4)], (0, 0))
+        with pytest.raises(NoSolutionError):
+            geomnum._solve([(1, 1, 0)], (1, 1, Fraction(1, 3)))
 
 
 class TestMinkowski:
@@ -300,6 +359,70 @@ class TestGenDegBasis:
             assert det_of(gd.vectors) == L.index
             assert gd.max_norm == max(gd.norms)
             assert gd.within_bound == (gd.max_norm <= gd.bound)
+
+
+def gen_deg_reference(L):
+    """gen_deg_basis by its definition: the first m - 1 vectors of the full
+    Mahler basis, completed by b*."""
+    short = list(mahler_basis(L).vectors[:L.dimension - 1])
+    comp = complete_basis_short(L, short)
+    return tuple(short) + (comp.bstar,), comp
+
+
+class TestGenDegBasisShortWalk:
+    """gen_deg_basis refines only the first m - 1 minima, so it stops its
+    walk at lambda_{m-1}; its output must be the full refinement's prefix."""
+
+    @pytest.mark.parametrize("p", [p for p in range(3, 32) if is_prime(p)])
+    def test_matches_full_refinement_on_sharp_cases(self, p):
+        for m in range(1, min(p, 7)):
+            L = from_congruences(sharp_case_lattice(SharpCaseSpec(p, m)))
+            gd = gen_deg_basis(L)
+            assert (gd.vectors, gd.completion) == gen_deg_reference(L), (p, m)
+
+    def test_matches_full_refinement_on_drawn_lattices(self):
+        for system in random_congruence_systems(150, seed=41, m_choices=(2, 3, 4, 5, 6),
+                                                n_max=45):
+            L = from_congruences(system)
+            gd = gen_deg_basis(L)
+            assert (gd.vectors, gd.completion) == gen_deg_reference(L), system
+
+    @pytest.mark.parametrize("p", [23, 53])
+    def test_walks_no_shell_beyond_second_last_minimum(self, monkeypatch, p):
+        # timing-free work gate: the minima still walk to lambda_m, the
+        # basis no further than lambda_{m-1}, which is below it here
+        L = from_congruences(sharp_case_lattice(SharpCaseSpec(p, 6)))
+        radii = []
+        walker = geomnum.shell_walker
+
+        def recording(L, mode):
+            walk = walker(L, mode)
+
+            def walk_recording(radius):
+                radii.append(radius)
+                return walk(radius)
+            return walk_recording
+
+        monkeypatch.setattr(geomnum, "shell_walker", recording)
+        lam = successive_minima(L).values
+        assert max(radii) == lam[-1]
+        radii.clear()
+        gen_deg_basis(L)
+        assert max(radii) == lam[-2] < lam[-1]
+
+    def test_vectors_that_do_not_extend_are_internal(self, monkeypatch):
+        # refined vectors whose determinant form has gcd over L a proper
+        # multiple of the index do not extend to a basis: a construction
+        # bug, not bad input (a zero form is covered through the CLI)
+        real = geomnum.determinant_form
+
+        def doubled(vectors, dimension):
+            return geomnum.DeterminantForm(
+                tuple(2 * c for c in real(vectors, dimension).coefficients))
+
+        monkeypatch.setattr(geomnum, "determinant_form", doubled)
+        with pytest.raises(InternalError, match="do not form a basis"):
+            gen_deg_basis(kernel(7, (1, 2, 4)))
 
 
 class TestEffectiveMinimaBounds:

@@ -28,6 +28,11 @@ class TestRandomSystems:
         systems = random_congruence_systems(30, seed=2, prime_only=True)
         assert all(is_prime(s.moduli[0]) for s in systems)
 
+    def test_prime_only_without_a_prime_in_range(self):
+        # [24, 24] holds no prime, so redrawing n could never stop
+        with pytest.raises(ValueError, match="m = 23, n_max = 24"):
+            random_congruence_systems(1, 0, m_choices=(23,), n_max=24, prime_only=True)
+
     def test_recipe_is_frozen(self):
         # the documented procedure, replayed by hand
         rng = random.Random(5)
