@@ -471,8 +471,13 @@ def cmd_scan(args):
     primes = [p for p in parse_range(args.primes) if constructions.is_prime(p)]
     if not primes:
         raise ValueError("no primes in range")
+    ms = parse_range(args.m)
+    if min(ms) < 1:
+        raise ValueError(f"--m must be at least 1, got {min(ms)}")
+    if args.samples < 0:
+        raise ValueError(f"--samples must be at least 0, got {args.samples}")
     cells = [(args.family, p, m, args.samples, args.seed, args.cap)
-             for p in primes for m in parse_range(args.m)]
+             for p in primes for m in ms]
     rows = [r for cell_rows in parallel_map(_scan_cell, cells, jobs)
             for r in cell_rows]
     table = [

@@ -3,10 +3,11 @@
 Successive minima by exhaustive search over the lattice members of each
 shell, the Minkowski product test, short bases refined from minima
 witnesses, and the completion of m - 1 short independent vectors to a
-genuine basis via the determinant linear form.  Coordinates across a
-hyperplane come from one fraction-free integer elimination (Bareiss), so
-every solve runs on Python ints; root enclosures run on fractions.Fraction.
-Nothing is floating point.
+genuine basis via the determinant linear form, whose coefficient j is
+det(b_1, ..., b_{m-1}, e_j).  Solves, determinants and determinant forms
+all come from one fraction-free integer elimination (Bareiss) on Python
+ints; root enclosures run on fractions.Fraction.  Nothing is floating
+point.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 from .ball_enum import shell_walker
 from .degree_bounds import CapExceededError
-from .lattice_core import InternalError, det_int, integer_kernel, is_generating, l1norm, xgcd
+from .lattice_core import InternalError, integer_kernel, is_generating, l1norm, xgcd
 
 
 class DependentInputError(ValueError):
@@ -113,26 +114,24 @@ def minkowski_check(L, sm=None) -> MinkowskiCheck:
     return MinkowskiCheck(sm, product, bound, product <= bound)
 
 
-def _solve(columns, target):
-    """Solve sum_j x_j columns[j] = target over Q; needs independent columns.
+def _eliminate(aug, k):
+    """Fraction-free Gauss-Jordan (Bareiss) on the first k columns of aug.
 
-    target may hold ints or Fractions; it is scaled by the lcm of their
-    denominators and eliminated fraction-free (Bareiss, Gauss-Jordan form)
-    on Python ints.  Every entry stays a minor of the augmented matrix, so
-    each division by the previous pivot is exact, and the pivot rows are
-    the ones plain Gauss-Jordan picks.  Returns (nums, den) with den > 0
-    and x_j = nums[j] / den.
+    aug is a list of integer rows, changed in place.  Every entry stays a
+    minor of the input, so each division by the previous pivot is exact,
+    and the pivot rows are the ones plain Gauss-Jordan picks.  After step c
+    a row that was never a pivot holds, in column j, the determinant of
+    the pivot rows (in pivot order) and itself over columns 0..c and j.
+    Returns (pivot_rows, last pivot); fewer than k pivot rows means the
+    first k columns are dependent, and elimination stopped at the first one
+    without a pivot.
     """
-    k = len(columns)
-    scale = math.lcm(*(t.denominator for t in target))
-    aug = [[col[r] for col in columns] + [t.numerator * (scale // t.denominator)]
-           for r, t in enumerate(target)]
     pivot_rows = []
     prev = 1
     for c in range(k):
         pr = next((r for r, row in enumerate(aug) if row[c] and r not in pivot_rows), None)
         if pr is None:
-            raise DependentInputError("columns are linearly dependent")
+            break
         pivot_rows.append(pr)
         prow = aug[pr]
         pv = prow[c]
@@ -141,6 +140,23 @@ def _solve(columns, target):
                 f = row[c]
                 aug[r] = [(pv * a - f * b) // prev for a, b in zip(row, prow)]
         prev = pv
+    return pivot_rows, prev
+
+
+def _solve(columns, target):
+    """Solve sum_j x_j columns[j] = target over Q; needs independent columns.
+
+    target may hold ints or Fractions; it is scaled by the lcm of their
+    denominators and eliminated by _eliminate on Python ints.  Returns
+    (nums, den) with den > 0 and x_j = nums[j] / den.
+    """
+    k = len(columns)
+    scale = math.lcm(*(t.denominator for t in target))
+    aug = [[col[r] for col in columns] + [t.numerator * (scale // t.denominator)]
+           for r, t in enumerate(target)]
+    pivot_rows, prev = _eliminate(aug, k)
+    if len(pivot_rows) < k:
+        raise DependentInputError("columns are linearly dependent")
     if any(row[k] for r, row in enumerate(aug) if r not in pivot_rows):
         raise NoSolutionError("target is outside the span of the columns")
     den = prev * scale
@@ -194,76 +210,72 @@ def mahler_basis(L) -> MahlerBasis:
     """
     m = L.dimension
     values, witnesses, basis_amb = zip(*_refined(L))
-    sm = SuccessiveMinima(values, witnesses)
     basis_amb = list(basis_amb)
-    d = det_int([[basis_amb[c][r] for c in range(m)] for r in range(m)])
+    try:
+        d = determinant_form(basis_amb[:-1], m).apply(basis_amb[-1])
+    except DependentInputError:
+        d = 0
     if abs(d) != L.index:
         raise InternalError("refined vectors do not form a basis; construction bug")
     if d < 0:
         basis_amb[-1] = tuple(-t for t in basis_amb[-1])
     norms = tuple(l1norm(b) for b in basis_amb)
-    for i, nm in enumerate(norms, start=1):
-        if nm > i * sm.values[i - 1]:
-            raise InternalError(
-                f"basis vector {i} has norm {nm} > {i} * minimum {sm.values[i - 1]}")
-    return MahlerBasis(tuple(basis_amb), norms, sm)
+    return MahlerBasis(tuple(basis_amb), norms, SuccessiveMinima(values, witnesses))
 
 
 def _refined(L):
     """Yield (radius, witness, vector) for each successive minimum in turn,
     the vector being the refinement of mahler_basis before its sign fix.
 
-    The i-th vector depends only on witnesses 1..i, so taking the first
-    k of them walks no shell beyond lambda_k.
+    In the coordinates of K, a basis of L inside the span of witnesses
+    1..i, f is the primitive determinant form of b_1..b_{i-1}, signed so
+    that a_i = f . w_i > 0, and f . y0 = 1.  The vector is the (norm,
+    lex)-least w_i / a_i + sum e_j b_j with e_j in {-frac(t_j), 1 - frac(t_j)}
+    and t the coordinates of w_i / a_i - y0 over b_1..b_{i-1}.  Its norm is
+    checked against i * lambda_i, and a failed invariant raises
+    InternalError.  The i-th vector depends only on witnesses 1..i, so
+    taking the first k of them walks no shell beyond lambda_k.
     """
     m = L.dimension
     ucoords = []
     basis_x = []
     for i, (radius, w) in enumerate(_minima(L, L.index), start=1):
         ucoords.append(L.coords(w))
-        if i < m:
-            perp = integer_kernel(ucoords, m)
-            K = integer_kernel([list(t) for t in perp], m)
-        else:
-            K = [tuple(1 if k == j else 0 for k in range(m)) for j in range(m)]
+        K = integer_kernel([list(t) for t in integer_kernel(ucoords, m)], m)
+        if len(K) != i:
+            raise InternalError(f"minima witness {i} fell into the previous span")
         cs = [_integer_coords(K, bx) for bx in basis_x]
         yv = _integer_coords(K, ucoords[-1])
-        if cs:
-            fs = integer_kernel([list(c) for c in cs], i)
-            if len(fs) != 1:
-                raise DependentInputError("partial basis degenerated")
-            f = list(fs[0])
-        else:
-            f = [1] + [0] * (i - 1)
-        a_i = sum(a * b for a, b in zip(f, yv))
-        if a_i < 0:
-            f = [-t for t in f]
-            a_i = -a_i
+        try:
+            f = determinant_form(cs, i).coefficients
+        except DependentInputError:
+            raise InternalError("partial basis degenerated") from None
+        g = math.gcd(*f)
+        a_i = sum(a * b for a, b in zip(f, yv)) // g
         if a_i == 0:
-            raise DependentInputError("minima witness fell into the previous span")
+            raise InternalError(f"minima witness {i} fell into the previous span")
+        if a_i < 0:
+            g, a_i = -g, -a_i
+        f = [t // g for t in f]
         y0 = _solve_integer_combo(f, 1)
-        if cs:
-            delta = [Fraction(yv[k], a_i) - y0[k] for k in range(i)]
-            nums, den = _solve(cs, delta)
-            options = [(t // den,) if t % den == 0 else (t // den, t // den + 1)
-                       for t in nums]
-            best = None
-            for zs in itertools.product(*options):
-                y = list(y0)
-                for z, c in zip(zs, cs):
-                    for k in range(i):
-                        y[k] += z * c[k]
-                x = [sum(y[k] * K[k][r] for k in range(i)) for r in range(m)]
-                amb = tuple(
-                    sum(x[k] * L.columns[k][r] for k in range(m)) for r in range(m)
-                )
-                cand = (l1norm(amb), amb, x)
-                if best is None or cand < best:
-                    best = cand
-            _, amb, x = best
-        else:
-            x = [sum(y0[k] * K[k][r] for k in range(i)) for r in range(m)]
+        delta = [Fraction(yv[k], a_i) - y0[k] for k in range(i)]
+        nums, den = _solve(cs, delta)
+        options = [(t // den,) if t % den == 0 else (t // den, t // den + 1)
+                   for t in nums]
+        best = None
+        for zs in itertools.product(*options):
+            y = list(y0)
+            for z, c in zip(zs, cs):
+                for k in range(i):
+                    y[k] += z * c[k]
+            x = [sum(y[k] * K[k][r] for k in range(i)) for r in range(m)]
             amb = tuple(sum(x[k] * L.columns[k][r] for k in range(m)) for r in range(m))
+            cand = (l1norm(amb), amb, x)
+            if best is None or cand < best:
+                best = cand
+        nm, amb, x = best
+        if nm > i * radius:
+            raise InternalError(f"basis vector {i} has norm {nm} > {i} * minimum {radius}")
         lead = next((t for t in amb if t != 0), 0)
         if lead < 0:
             amb = tuple(-t for t in amb)
@@ -283,28 +295,31 @@ class DeterminantForm:
 
 
 def determinant_form(vectors, dimension=None) -> DeterminantForm:
-    """Cofactor expansion of det with the m - 1 given columns fixed.
+    """The form whose j-th coefficient is det(b_1, ..., b_{m-1}, e_j).
 
-    The j-th coefficient is (-1)^(j+1+m) times the minor that deletes row j,
-    so applying the form to any w gives the full determinant with w as the
-    last column.  All-zero coefficients mean the inputs were dependent.
+    One _eliminate over the m - 1 given columns of [B | I_m] leaves one row
+    that was never a pivot; its last m entries are those determinants with
+    the rows taken in pivot order, so the sign of that row permutation
+    turns them into the coefficients.  Applying the form to any w gives the
+    full determinant with w as the last column.
     """
     vs = [tuple(v) for v in vectors]
     if dimension is None:
         if not vs:
             raise ValueError("need the dimension for an empty vector list")
         dimension = len(vs[0])
-    if len(vs) != dimension - 1 or any(len(v) != dimension for v in vs):
+    m = dimension
+    if len(vs) != m - 1 or any(len(v) != m for v in vs):
         raise ValueError("expected m - 1 vectors of length m")
-    coeffs = []
-    for j in range(dimension):
-        minor = [[vs[c][r] for c in range(dimension - 1)]
-                 for r in range(dimension) if r != j]
-        sign = -1 if (j + 1 + dimension) % 2 else 1
-        coeffs.append(sign * det_int(minor))
-    if not any(coeffs):
+    aug = [[v[r] for v in vs] + [1 if k == r else 0 for k in range(m)]
+           for r in range(m)]
+    pivot_rows, _ = _eliminate(aug, m - 1)
+    if len(pivot_rows) < m - 1:
         raise DependentInputError("vectors are linearly dependent")
-    return DeterminantForm(tuple(coeffs))
+    order = pivot_rows + [r for r in range(m) if r not in pivot_rows]
+    inversions = sum(a > b for j, a in enumerate(order) for b in order[j + 1:])
+    sign = -1 if inversions % 2 else 1
+    return DeterminantForm(tuple(sign * t for t in aug[order[-1]][m - 1:]))
 
 
 @dataclass(frozen=True)

@@ -52,33 +52,6 @@ def xgcd(a, b):
     return old_r, old_x, old_y
 
 
-def det_int(rows):
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    n = len(rows)
-    a = [list(r) for r in rows]
-    if any(len(r) != n for r in a):
-        raise ValueError("matrix is not square")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def _gcd_step(carrier, col, j):
     """Unimodular 2x2 column step that clears col[j] against carrier[j].
 

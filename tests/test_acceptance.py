@@ -36,7 +36,6 @@ from invlat.geomnum import (
 )
 from invlat.lattice_core import (
     CongruenceSystem,
-    det_int,
     from_congruences,
     is_generating,
     l1norm,
@@ -63,8 +62,7 @@ def kernel(n, coeffs):
 
 
 def det_of(vectors):
-    m = len(vectors)
-    return det_int([[vectors[c][r] for c in range(m)] for r in range(m)])
+    return oracles.det_laplace(vectors)
 
 
 def _cli(argv):

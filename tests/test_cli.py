@@ -133,9 +133,9 @@ class TestBounds:
 
     def test_internal_error_exit_code(self, capsys, monkeypatch):
         # A failed internal invariant exits 4, apart from 1 (violations found)
-        # and 2 (bad input). A wrong determinant makes mahler_basis's basis
-        # check raise its "construction bug" InternalError.
-        monkeypatch.setattr(geomnum, "det_int", lambda rows: 0)
+        # and 2 (bad input). A determinant form that is zero everywhere makes
+        # the basis check raise its "construction bug" InternalError.
+        monkeypatch.setattr(geomnum.DeterminantForm, "apply", lambda self, w: 0)
         code, out = run(["basis", "--construct", "sharp:p=5,m=3", "--format", "json"])
         assert code == 4 and out == ""
         assert capsys.readouterr().err == (
@@ -147,9 +147,27 @@ class TestBounds:
         def broken(*args, **kwargs):
             raise BrokenProcessPool("a worker died")
 
-        monkeypatch.setattr(geomnum, "det_int", broken)
+        monkeypatch.setattr(geomnum.DeterminantForm, "apply", broken)
         with pytest.raises(BrokenProcessPool):
             run(["basis", "--construct", "sharp:p=5,m=3", "--format", "json"])
+
+    def test_failed_refinement_invariant_exits_4(self, capsys, monkeypatch):
+        # a minima witness repeated into the refinement is a bug in invlat,
+        # reported as such and not as a traceback or as bad input
+        real = geomnum._minima
+
+        def first_twice(L, cap):
+            walk = real(L, cap)
+            first = next(walk)
+            yield first
+            yield first
+            yield from walk
+
+        monkeypatch.setattr(geomnum, "_minima", first_twice)
+        code, out = run(["basis", "--construct", "sharp:p=7,m=3", "--format", "json"])
+        assert code == 4 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("internal error:") and "Traceback" not in err
 
 
 class TestMinima:
@@ -342,6 +360,17 @@ class TestScan:
 
     def test_no_primes_in_range(self):
         assert run(["scan", "--primes", "4", "--m", "2"])[0] == 2
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--samples", "-1", "--samples must be at least 0, got -1"),
+        ("--m", "0", "--m must be at least 1, got 0"),
+        ("--m", "0..3", "--m must be at least 1, got 0"),
+    ])
+    def test_bad_counts_name_their_flag(self, capsys, flag, value, message):
+        args = {"--primes": "5", "--m": "2", "--family": "random", flag: value}
+        code, out = run(["scan"] + [t for kv in args.items() for t in kv])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_jobs_invariance(self):
         args = ["scan", "--primes", "5..11", "--m", "2..3", "--format", "json"]

@@ -289,6 +289,25 @@ class TestDeterminantForm:
         with pytest.raises(DependentInputError):
             determinant_form([(1, 1, 0), (2, 2, 0)])
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_laplace_expansion(self, data):
+        # the one elimination against cofactor expansion: equal values on
+        # every w, and a dependent verdict exactly on rank-deficient input
+        m = data.draw(st.integers(1, 6), label="m")
+        entry = st.integers(-4, 4)
+        vecs = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                                  min_size=m - 1, max_size=m - 1), label="vecs")
+        if m >= 3 and data.draw(st.booleans(), label="dependent"):
+            mult = data.draw(st.lists(st.integers(-2, 2), min_size=m - 2, max_size=m - 2))
+            vecs[-1] = [sum(a * v[r] for a, v in zip(mult, vecs)) for r in range(m)]
+        w = data.draw(st.lists(entry, min_size=m, max_size=m), label="w")
+        if oracles.rank_of(vecs) < m - 1:
+            with pytest.raises(DependentInputError, match="linearly dependent"):
+                determinant_form(vecs, m)
+        else:
+            assert determinant_form(vecs, m).apply(w) == oracles.det_laplace(vecs + [w])
+
 
 class TestCompleteBasisShort:
     def test_mod7_worked_example(self):
@@ -423,6 +442,20 @@ class TestGenDegBasisShortWalk:
         monkeypatch.setattr(geomnum, "determinant_form", doubled)
         with pytest.raises(InternalError, match="do not form a basis"):
             gen_deg_basis(kernel(7, (1, 2, 4)))
+
+
+class TestRefinementInvariants:
+    """Both mahler_basis and gen_deg_basis run every refinement check."""
+
+    def test_norm_ceiling_is_checked_on_both(self, monkeypatch):
+        # minima reported as 1 make the refined norms break i * lambda_i
+        real = geomnum._minima
+        monkeypatch.setattr(geomnum, "_minima",
+                            lambda L, cap: ((1, w) for _, w in real(L, cap)))
+        L = from_congruences(sharp_case_lattice(SharpCaseSpec(7, 3)))
+        for build in (gen_deg_basis, mahler_basis):
+            with pytest.raises(InternalError, match=r"norm 2 > 1 \* minimum 1"):
+                build(L)
 
 
 class TestEffectiveMinimaBounds:
