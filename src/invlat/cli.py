@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from collections.abc import Iterable
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple
 
 from . import constructions, geomnum, rank2
@@ -169,6 +169,13 @@ def add_jobs_arg(sub):
                      help="worker processes (INVLAT_THREADS also honored)")
 
 
+def at_least(flag, value, least):
+    """Reject an option value below `least`, naming its flag; None, an
+    unset option, passes."""
+    if value is not None and value < least:
+        raise ValueError(f"{flag} must be at least {least}, got {value}")
+
+
 def vec_str(v):
     return "(" + ",".join(str(x) for x in v) + ")"
 
@@ -181,6 +188,7 @@ def csv_cell(v):
 # ------------------------------------------------------------------- bounds
 
 def cmd_bounds(args):
+    at_least("--cap", args.cap, 0)
     system = load_system(args)
     L = from_congruences(system)
     which = ("dspan", "bfield", "bfieldr") if args.which == "all" else \
@@ -210,6 +218,7 @@ def cmd_bounds(args):
 # ------------------------------------------------------------------- minima
 
 def cmd_minima(args):
+    at_least("--cap", args.cap, 0)
     system = load_system(args)
     L = from_congruences(system)
     sm = geomnum.successive_minima(L, cap=args.cap)
@@ -353,6 +362,8 @@ def _verify_sampled(worker, args, jobs):
     """A property suite over seeded random systems; worker gets (system,
     seed) with the seed advancing by one per system and returns (ok,
     detail)."""
+    at_least("--random", args.random, 0)
+    at_least("--nmax", args.nmax, 4)
     systems = random_congruence_systems(
         args.random, args.seed, m_choices=tuple(parse_range(args.m)),
         n_max=args.nmax)
@@ -472,10 +483,9 @@ def cmd_scan(args):
     if not primes:
         raise ValueError("no primes in range")
     ms = parse_range(args.m)
-    if min(ms) < 1:
-        raise ValueError(f"--m must be at least 1, got {min(ms)}")
-    if args.samples < 0:
-        raise ValueError(f"--samples must be at least 0, got {args.samples}")
+    at_least("--m", min(ms), 1)
+    at_least("--samples", args.samples, 0)
+    at_least("--cap", args.cap, 0)
     cells = [(args.family, p, m, args.samples, args.seed, args.cap)
              for p in primes for m in ms]
     rows = [r for cell_rows in parallel_map(_scan_cell, cells, jobs)
@@ -510,7 +520,12 @@ def cmd_construct(args):
 
 # --------------------------------------------------------------------- main
 
+@cache
 def build_parser():
+    """The argparse tree, built at the first call and shared by every later
+    one, so callers must not change it.  Each parse_args still returns a
+    fresh Namespace, and help output reads the terminal width when it is
+    printed."""
     parser = argparse.ArgumentParser(
         prog="invlat",
         description="exact degree bounds and lattice constructions for "

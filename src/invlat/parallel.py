@@ -6,20 +6,21 @@ calling process.
 
 The pool is created at the first call that needs more than one worker and
 reused by every later call in the process, including later `cli.main` calls,
-so a sweep pays the fork once rather than once per call.  Its workers are
-forked once, at that first fan-out: a monkeypatch made after it does not
-reach them.  A call that needs a different worker count shuts the live pool
-down and joins it before the next one forks.  A pool broken by a dead worker
-is dropped after the call that found it broken, and the next call starts a
-fresh one.  The workers end at interpreter exit through the exit hook of
-`concurrent.futures`.
+so a sweep pays the fork once rather than once per call.  The pool module
+(`concurrent.futures.process`, and with it `multiprocessing`) is imported at
+that first fan-out too, so a process that never fans out never loads it.
+Its workers are forked once, at that first fan-out: a monkeypatch made after
+it does not reach them.  A call that needs a different worker count shuts
+the live pool down and joins it before the next one forks.  A pool broken by
+a dead worker is dropped after the call that found it broken, and the next
+call starts a fresh one.  An exit hook shuts the pool down and drops it at
+interpreter exit, while the pool module is still whole.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 ENV_THREADS = "INVLAT_THREADS"
 
@@ -54,6 +55,20 @@ def worker_count(jobs, n_items, cpus):
     return max(1, min(jobs, cpus, n_items))
 
 
+def _shutdown_pool():
+    """Shut the process's pool down, join it and drop it; a no-op without
+    one.  At exit it runs before the modules are torn down: a pool collected
+    after `concurrent.futures.process` is gone makes its weakref callback
+    fail with `Exception ignored in: ... weakref_cb`."""
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown(wait=True)
+        _pool = None
+
+
+atexit.register(_shutdown_pool)
+
+
 def parallel_map(fn, items, jobs=1):
     """[fn(x) for x in items], spread over up to `jobs` workers of the
     process's pool."""
@@ -62,15 +77,15 @@ def parallel_map(fn, items, jobs=1):
     workers = worker_count(jobs, len(items), usable_cpus())
     if workers == 1:
         return [fn(x) for x in items]
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
     if _pool is not None and _pool[0] != workers:
-        _pool[1].shutdown(wait=True)
-        _pool = None
+        _shutdown_pool()
     if _pool is None:
         _pool = (workers, ProcessPoolExecutor(max_workers=workers))
     pool = _pool[1]
     try:
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
     except BrokenProcessPool:
-        pool.shutdown(wait=True)
-        _pool = None
+        _shutdown_pool()
         raise

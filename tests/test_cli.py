@@ -13,7 +13,7 @@ import pytest
 
 import invlat
 from invlat import geomnum
-from invlat.cli import main, parse_construct, parse_range
+from invlat.cli import build_parser, main, parse_construct, parse_range
 from invlat.parallel import worker_count
 from invlat.constructions import CounterexampleReport
 
@@ -130,6 +130,21 @@ class TestBounds:
                        "--which", "bfield"])
         assert code == 3
         assert "cap exceeded while computing bfield" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["bounds", "minima"])
+    def test_negative_cap_rejected(self, capsys, command):
+        argv = [command, "--construct", "sharp:p=5,m=2", "--cap", "-1"]
+        assert run(argv) == (2, "")
+        assert capsys.readouterr().err == "error: --cap must be at least 0, got -1\n"
+
+    def test_zero_cap_is_a_real_cap(self, capsys):
+        # dspan of an index-1 lattice is 0, so 0 is a cap and not bad input
+        argv = ["bounds", "--construct", "sharp:p=5,m=2", "--cap", "0"]
+        assert run(argv) == (3, "")
+        assert capsys.readouterr().err == "cap exceeded while computing dspan (cap 0)\n"
+        assert run(["bounds", "--congruence", '{"moduli":[2],"coefficients":[[0,0]]}',
+                    "--which", "dspan", "--cap", "0", "-f", "csv"]) == \
+            (0, "which,value,index,search_cap\ndspan,0,1,0\n")
 
     def test_internal_error_exit_code(self, capsys, monkeypatch):
         # A failed internal invariant exits 4, apart from 1 (violations found)
@@ -280,6 +295,15 @@ class TestVerify:
             assert capsys.readouterr().err == \
                 f"error: need 1 <= m < n_max, got m = {bad}, n_max = {nmax}\n"
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--random", "-2", "--random must be at least 0, got -2"),
+        ("--nmax", "3", "--nmax must be at least 4, got 3"),
+    ])
+    def test_sampled_counts_name_their_flag(self, capsys, flag, value, message):
+        for suite in ("relations", "minkowski"):
+            assert run(["verify", suite, "--m", "2", flag, value]) == (2, "")
+            assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_sampled_suites(self):
         for suite in ("relations", "minkowski"):
             code, text = run(["verify", suite, "--random", "10", "--seed", "3",
@@ -335,6 +359,12 @@ class TestScan:
             assert r["flag"] == "cap-exceeded:bfield"
             assert r["dspan"] is None and r["meets_bound"] is None
 
+    def test_zero_cap_flags_rows(self):
+        assert run(["scan", "--primes", "5", "--m", "2", "--cap", "0", "-f", "csv"]) == (0, (
+            "p,m,family,coefficients,dspan,bfield,bfieldr,conjecture_bound,"
+            "meets_bound,flag\n"
+            "5,2,sharp,1 4,,,,5,,cap-exceeded:dspan\n"))
+
     def test_random_skips_m_not_below_p(self):
         # m >= p has no m distinct nonzero residues; those cells are skipped
         args = ["scan", "--primes", "5..7", "--family", "random",
@@ -365,6 +395,7 @@ class TestScan:
         ("--samples", "-1", "--samples must be at least 0, got -1"),
         ("--m", "0", "--m must be at least 1, got 0"),
         ("--m", "0..3", "--m must be at least 1, got 0"),
+        ("--cap", "-3", "--cap must be at least 0, got -3"),
     ])
     def test_bad_counts_name_their_flag(self, capsys, flag, value, message):
         args = {"--primes": "5", "--m": "2", "--family": "random", flag: value}
@@ -469,7 +500,7 @@ class TestParallelism:
         # the pipe would run into launch's timeout
         argv = ["verify", "relations", "--random", "8", "--format", "json"]
         proc = launch("-m", "invlat", *argv, "--jobs", "2")
-        assert proc.returncode == 0, proc.stderr
+        assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == run(argv)[1]
 
     def test_worker_count_clamp(self):
@@ -478,6 +509,70 @@ class TestParallelism:
         assert worker_count(64, 3, 8) == 3
         assert worker_count(4, 0, 8) == 1
         assert worker_count(1, 40, 8) == 1
+
+
+class TestParserReuse:
+    """main builds its argparse tree once per process and reuses it."""
+
+    def test_options_do_not_leak_into_later_calls(self):
+        # non-default options first, then the same commands on their
+        # defaults; those must print what a fresh process prints
+        lattice = ["--construct", "sharp:p=5,m=3"]
+        assert run(["bounds", *lattice, "--which", "dspan", "--cap", "5", "-f", "csv"])[0] == 0
+        assert run(["verify", "hrd", "--n", "1..6", "--jobs", "2", "-f", "json"])[0] == 0
+        for argv in (["bounds", *lattice], ["verify", "counterexample"]):
+            proc = launch("-m", "invlat", *argv)
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+            assert run(argv) == (0, proc.stdout)
+
+    def test_parser_built_once(self):
+        build_parser()
+        before = build_parser.cache_info()
+        for argv in (["construct", "dihedral:n=3"], ["bounds", "--congruence", MOD4],
+                     ["minima", "--congruence", MOD5, "-f", "csv"]):
+            assert run(argv)[0] == 0
+        after = build_parser.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits + 3
+
+    @pytest.mark.parametrize("argv", [["--help"], ["bounds", "--help"]])
+    def test_help_reads_the_width_when_printed(self, capsys, monkeypatch, argv):
+        # the shared parser prints what a freshly built one prints, at
+        # every terminal width
+        def help_text(parse):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == 0
+            return capsys.readouterr().out
+
+        texts = []
+        for columns in ("50", "120"):
+            monkeypatch.setenv("COLUMNS", columns)
+            fresh = help_text(build_parser.__wrapped__().parse_args)
+            assert help_text(main) == help_text(main) == fresh
+            proc = launch("-m", "invlat", *argv)
+            assert (proc.returncode, proc.stdout) == (0, fresh)
+            texts.append(fresh)
+        assert texts[0] != texts[1]
+
+
+class TestPoolImport:
+    """The process pool module is loaded at the first fan-out only."""
+
+    def test_no_pool_module_without_fan_out(self):
+        script = ("import sys; from invlat.cli import main; rc = main(['construct', "
+                  "'dihedral:n=3']); print(sorted(m for m in ('concurrent.futures.process', "
+                  "'multiprocessing') if m in sys.modules)); sys.exit(rc)")
+        proc = launch("-c", script)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "n: 3\ndspan: 3\n[]\n"
+
+    def test_jobs_two_matches_jobs_one(self):
+        argv = ["-m", "invlat", "verify", "sharp", "--primes", "5..7", "-f", "json"]
+        one, two = launch(*argv, "--jobs", "1"), launch(*argv, "--jobs", "2")
+        assert (one.returncode, one.stderr) == (0, "")
+        assert (two.returncode, two.stderr) == (0, "")
+        assert two.stdout == one.stdout
 
 
 def launch(*args):

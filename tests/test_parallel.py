@@ -3,7 +3,10 @@ when broken, and never started when the process may use one CPU only."""
 
 import multiprocessing
 import os
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -64,3 +67,28 @@ def test_one_usable_cpu_runs_in_the_caller(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert parallel.usable_cpus() == 1
     assert parallel_map(pid_of, range(4), 2) == [os.getpid()] * 4
+
+
+def test_exit_after_fan_out_is_quiet():
+    # A module kept alive to the end of interpreter teardown, as a test
+    # runner keeps its modules, must not leave its pool to be collected after
+    # concurrent.futures.process is torn down: the pool's weakref callback
+    # would print "Exception ignored in: ... weakref_cb" to stderr.
+    script = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+              "from invlat import parallel; sys.kept = parallel; "
+              "print(parallel.parallel_map(abs, range(-8, 0), 2))")
+    src = str(Path(parallel.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[8, 7, 6, 5, 4, 3, 2, 1]\n"
+
+
+def test_exit_hook_shuts_the_pool_down(two_cpus):
+    parallel_map(pid_of, range(4), 2)
+    assert workers()
+    parallel._shutdown_pool()
+    assert parallel._pool is None and not workers()
+    parallel._shutdown_pool()
+    assert parallel_map(cube_mod, [2, 3], 2) == [(8, 2), (27, 3)]
+    assert workers()
