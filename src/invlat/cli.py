@@ -347,7 +347,7 @@ def _verify_hrd(args, jobs):
 
 
 def _verify_counterexample(args, jobs):
-    reports = [constructions.counterexample_check(n) for n in parse_range(args.n)]
+    reports = parallel_map(constructions.counterexample_check, parse_range(args.n), jobs)
     violations = [f"n={r.n}" for r in reports if not r.ok]
     rows = [(r.n, r.bfieldr, r.half, r.bound, r.ok) for r in reports]
     payload = {
@@ -381,9 +381,16 @@ def _verify_sampled(worker, args, jobs):
     return payload, ["n", "m", "coefficients", "ok"], rows, violations
 
 
+def _sharp_case(spec):
+    L = from_congruences(constructions.sharp_case_lattice(spec))
+    bf = bfield(L).value
+    br = bfieldr(L).value
+    bound = constructions.conjecture_bound(spec.p, spec.m)
+    return spec.p, spec.m, spec.missing, bf, br, bound, bf == br == bound
+
+
 def _verify_sharp(args, jobs):
-    cases = []
-    violations = []
+    specs = []
     for p in parse_range(args.primes):
         # the sharp family is defined for odd primes only
         if p == 2 or not constructions.is_prime(p):
@@ -393,16 +400,10 @@ def _verify_sharp(args, jobs):
                 continue
             missings = [None] if m % 2 == 0 else \
                 [s * k for k in range(1, (m + 1) // 2 + 1) for s in (1, -1)]
-            for miss in missings:
-                spec = constructions.SharpCaseSpec(p, m, miss)
-                L = from_congruences(constructions.sharp_case_lattice(spec))
-                bf = bfield(L).value
-                br = bfieldr(L).value
-                bound = constructions.conjecture_bound(p, m)
-                ok = bf == br == bound
-                cases.append((p, m, spec.missing, bf, br, bound, ok))
-                if not ok:
-                    violations.append(f"p={p} m={m} missing={spec.missing}")
+            specs += [constructions.SharpCaseSpec(p, m, miss) for miss in missings]
+    cases = parallel_map(_sharp_case, specs, jobs)
+    violations = [f"p={p} m={m} missing={miss}"
+                  for p, m, miss, *_, ok in cases if not ok]
     payload = {
         "suite": "sharp",
         "cases": [

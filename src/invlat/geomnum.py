@@ -4,10 +4,10 @@ Successive minima by exhaustive search over the lattice members of each
 shell, the Minkowski product test, short bases refined from minima
 witnesses, and the completion of m - 1 short independent vectors to a
 genuine basis via the determinant linear form, whose coefficient j is
-det(b_1, ..., b_{m-1}, e_j).  Solves, determinants and determinant forms
-all come from one fraction-free integer elimination (Bareiss) on Python
-ints; root enclosures run on fractions.Fraction.  Nothing is floating
-point.
+det(b_1, ..., b_{m-1}, e_j).  The refinement runs on xgcd steps; solves,
+determinants and determinant forms on one fraction-free elimination
+(Bareiss, _eliminate) on Python ints; root enclosures on Fraction.
+Nothing is floating point.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .ball_enum import shell_walker
 from .degree_bounds import CapExceededError
-from .lattice_core import InternalError, integer_kernel, is_generating, l1norm, xgcd
+from .lattice_core import InternalError, is_generating, l1norm, xgcd
 
 
 class DependentInputError(ValueError):
@@ -166,12 +166,6 @@ def _solve(columns, target):
     return nums, den
 
 
-def _integer_coords(columns, target):
-    """Coordinates of target over columns, known to be integers."""
-    nums, den = _solve(columns, target)
-    return [t // den for t in nums]
-
-
 def _solve_integer_combo(values, target):
     """Deterministic integer x with sum x_k values[k] = target, via running gcds."""
     g = 0
@@ -202,11 +196,11 @@ def mahler_basis(L) -> MahlerBasis:
     """Basis of L with the i-th vector inside span of the first i minima
     witnesses and norm at most i * lambda_i; determinant forced to +index.
 
-    Classical refinement: for each i the lattice points inside the span of
-    the first i witnesses form a saturated rank-i sublattice; the partial
-    basis extends across it, and the extension is shifted by the rounding
-    box around v_i / a_i to stay short.  The i * lambda_i ceiling is checked
-    and a violation raises, rather than returning a silently weaker basis.
+    Classical refinement on one unimodular basis and its inverse, with no
+    kernel or solve per minimum: xgcd steps fold witness i into column i,
+    which is then shifted by the rounding box around w_i / a_i to stay
+    short.  The i * lambda_i ceiling is checked and a violation raises,
+    rather than returning a silently weaker basis.
     """
     m = L.dimension
     values, witnesses, basis_amb = zip(*_refined(L))
@@ -227,60 +221,58 @@ def _refined(L):
     """Yield (radius, witness, vector) for each successive minimum in turn,
     the vector being the refinement of mahler_basis before its sign fix.
 
-    In the coordinates of K, a basis of L inside the span of witnesses
-    1..i, f is the primitive determinant form of b_1..b_{i-1}, signed so
-    that a_i = f . w_i > 0, and f . y0 = 1.  The vector is the (norm,
-    lex)-least w_i / a_i + sum e_j b_j with e_j in {-frac(t_j), 1 - frac(t_j)}
-    and t the coordinates of w_i / a_i - y0 over b_1..b_{i-1}.  Its norm is
-    checked against i * lambda_i, and a failed invariant raises
-    InternalError.  The i-th vector depends only on witnesses 1..i, so
-    taking the first k of them walks no shell beyond lambda_k.
+    U (columns, in L's coordinates) is unimodular with inverse V (rows);
+    before witness i its first i - 1 columns are b_1..b_{i-1}.  Of c, the
+    coordinates of w_i over U, each nonzero c_k with k > i is folded into
+    a_i = c_i by an xgcd step on U and V, and a_i < 0 negates U_i and V_i.
+    The vector is the (norm, lex)-least U_i + sum z_j U_j, z_j the floor or
+    ceiling of c_j / a_i, and it replaces U_i (V_j -= z_j V_i).  Its norm
+    is checked against i * lambda_i; a failed invariant raises
+    InternalError.  No kernel or solve runs per minimum (tests/oracles.py
+    keeps the rebuild-per-minimum refinement as refined_reference).  The
+    i-th vector depends only on witnesses 1..i, so taking the first k of
+    them walks no shell beyond lambda_k.
     """
     m = L.dimension
-    ucoords = []
-    basis_x = []
-    for i, (radius, w) in enumerate(_minima(L, L.index), start=1):
-        ucoords.append(L.coords(w))
-        K = integer_kernel([list(t) for t in integer_kernel(ucoords, m)], m)
-        if len(K) != i:
-            raise InternalError(f"minima witness {i} fell into the previous span")
-        cs = [_integer_coords(K, bx) for bx in basis_x]
-        yv = _integer_coords(K, ucoords[-1])
-        try:
-            f = determinant_form(cs, i).coefficients
-        except DependentInputError:
-            raise InternalError("partial basis degenerated") from None
-        g = math.gcd(*f)
-        a_i = sum(a * b for a, b in zip(f, yv)) // g
+    U = [[int(j == k) for k in range(m)] for j in range(m)]
+    V = [list(row) for row in U]
+    for i, (radius, w) in enumerate(_minima(L, L.index)):  # column i: witness i + 1
+        wx = L.coords(w)
+        c = [sum(a * b for a, b in zip(row, wx)) for row in V]
+        for k in range(i + 1, m):
+            if c[k]:
+                g, s, t = xgcd(c[i], c[k])
+                p, q = c[i] // g, c[k] // g
+                U[i], U[k] = ([p * a + q * b for a, b in zip(U[i], U[k])],
+                              [s * b - t * a for a, b in zip(U[i], U[k])])
+                V[i], V[k] = ([s * a + t * b for a, b in zip(V[i], V[k])],
+                              [p * b - q * a for a, b in zip(V[i], V[k])])
+                c[i], c[k] = g, 0
+        a_i = c[i]
         if a_i == 0:
-            raise InternalError(f"minima witness {i} fell into the previous span")
+            raise InternalError(f"minima witness {i + 1} fell into the previous span")
         if a_i < 0:
-            g, a_i = -g, -a_i
-        f = [t // g for t in f]
-        y0 = _solve_integer_combo(f, 1)
-        delta = [Fraction(yv[k], a_i) - y0[k] for k in range(i)]
-        nums, den = _solve(cs, delta)
-        options = [(t // den,) if t % den == 0 else (t // den, t // den + 1)
-                   for t in nums]
-        best = None
+            a_i = -a_i
+            U[i] = [-t for t in U[i]]
+            V[i] = [-t for t in V[i]]
+        options = [(t // a_i,) if t % a_i == 0 else (t // a_i, t // a_i + 1)
+                   for t in c[:i]]
+        candidates = []
         for zs in itertools.product(*options):
-            y = list(y0)
-            for z, c in zip(zs, cs):
-                for k in range(i):
-                    y[k] += z * c[k]
-            x = [sum(y[k] * K[k][r] for k in range(i)) for r in range(m)]
+            x = [sum(z * u[k] for z, u in zip(zs + (1,), U)) for k in range(m)]
             amb = tuple(sum(x[k] * L.columns[k][r] for k in range(m)) for r in range(m))
-            cand = (l1norm(amb), amb, x)
-            if best is None or cand < best:
-                best = cand
-        nm, amb, x = best
-        if nm > i * radius:
-            raise InternalError(f"basis vector {i} has norm {nm} > {i} * minimum {radius}")
-        lead = next((t for t in amb if t != 0), 0)
-        if lead < 0:
+            candidates.append((l1norm(amb), amb, x, zs))
+        nm, amb, x, zs = min(candidates)
+        if nm > (i + 1) * radius:
+            raise InternalError(
+                f"basis vector {i + 1} has norm {nm} > {i + 1} * minimum {radius}")
+        for j, z in enumerate(zs):
+            V[j] = [a - z * b for a, b in zip(V[j], V[i])]
+        if next((t for t in amb if t != 0), 0) < 0:
             amb = tuple(-t for t in amb)
             x = [-t for t in x]
-        basis_x.append(x)
+            V[i] = [-t for t in V[i]]
+        U[i] = x
         yield radius, w, amb
 
 

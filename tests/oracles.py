@@ -3,14 +3,17 @@
 Everything here works straight from the congruence arithmetic or from
 first-principles linear algebra over Fractions, sharing no code with the
 package under test, so disagreement always means a real bug on one side.
-The exceptions are lattice_shell_points and lattice_points_up_to at the
-end, which drive the package's shell walker and are checked against these
-oracles.
+The exceptions are at the end: lattice_shell_points and
+lattice_points_up_to drive the package's shell walker and are checked
+against these oracles, and refined_reference, the Mahler refinement
+rebuilt from kernels and rational solves at every minimum, drives the
+package's minima walk (_minima), integer_kernel, determinant_form and
+_solve_integer_combo.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import ceil, comb, floor, gcd
 
 
 def box_points(m, radius):
@@ -256,3 +259,61 @@ def lattice_points_up_to(L, radius, mode="all"):
 
     walk = shell_walker(L, mode)
     return [v for d in range(radius + 1) for v in walk(d)]
+
+
+def refined_reference(L):
+    """The Mahler refinement rebuilt from scratch at each minimum, as
+    invlat.geomnum._refined once did; it yields what that generator yields.
+
+    In the coordinates of K, a basis of L inside the span of witnesses
+    1..i, f is the primitive determinant form of b_1..b_{i-1}, signed so
+    that a_i = f . w_i > 0, and f . y0 = 1.  The vector is the (norm,
+    lex)-least w_i / a_i + sum e_j b_j with e_j in {-frac(t_j), 1 - frac(t_j)}
+    and t the coordinates of w_i / a_i - y0 over b_1..b_{i-1}, sign-fixed
+    to a positive leading entry.  Coordinates come from solve_fractions.
+    """
+    from invlat.geomnum import _minima, _solve_integer_combo, determinant_form
+    from invlat.lattice_core import integer_kernel
+
+    def integer_coords(columns, target):
+        return [int(t) for t in solve_fractions(columns, target)]
+
+    m = L.dimension
+    ucoords = []
+    basis_x = []
+    for i, (radius, w) in enumerate(_minima(L, L.index), start=1):
+        ucoords.append(L.coords(w))
+        K = integer_kernel([list(t) for t in integer_kernel(ucoords, m)], m)
+        assert len(K) == i, f"minima witness {i} fell into the previous span"
+        cs = [integer_coords(K, bx) for bx in basis_x]
+        yv = integer_coords(K, ucoords[-1])
+        f = determinant_form(cs, i).coefficients
+        g = gcd(*f)
+        a_i = sum(a * b for a, b in zip(f, yv)) // g
+        assert a_i != 0, f"minima witness {i} fell into the previous span"
+        if a_i < 0:
+            g, a_i = -g, -a_i
+        f = [t // g for t in f]
+        y0 = _solve_integer_combo(f, 1)
+        delta = [Fraction(yv[k], a_i) - y0[k] for k in range(i)]
+        t = solve_fractions(cs, delta)
+        options = [(int(s),) if s.denominator == 1 else (floor(s), ceil(s)) for s in t]
+        best = None
+        for zs in product(*options):
+            y = list(y0)
+            for z, c in zip(zs, cs):
+                for k in range(i):
+                    y[k] += z * c[k]
+            x = [sum(y[k] * K[k][r] for k in range(i)) for r in range(m)]
+            amb = tuple(sum(x[k] * L.columns[k][r] for k in range(m)) for r in range(m))
+            cand = (sum(abs(a) for a in amb), amb, x)
+            if best is None or cand < best:
+                best = cand
+        nm, amb, x = best
+        assert nm <= i * radius, f"basis vector {i} has norm {nm} > {i} * minimum {radius}"
+        lead = next((t for t in amb if t != 0), 0)
+        if lead < 0:
+            amb = tuple(-t for t in amb)
+            x = [-t for t in x]
+        basis_x.append(x)
+        yield radius, w, amb

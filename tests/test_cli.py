@@ -12,10 +12,10 @@ import jsonschema
 import pytest
 
 import invlat
-from invlat import geomnum
+from invlat import cli, geomnum
 from invlat.cli import build_parser, main, parse_construct, parse_range
 from invlat.parallel import worker_count
-from invlat.constructions import CounterexampleReport
+from invlat.constructions import CounterexampleReport, SharpCaseSpec, counterexample_check
 
 MOD4 = '{"moduli":[4],"coefficients":[[1,3]]}'
 MOD5 = '{"moduli":[5],"coefficients":[[1,4]]}'
@@ -328,6 +328,27 @@ class TestVerify:
         assert code == 1
         assert json.loads(text)["ok"] is False
         assert "violation: n=6" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, worker, items", [
+        (["verify", "sharp", "--primes", "4..7", "--m", "2..3"], lambda: cli._sharp_case,
+         [SharpCaseSpec(p, m, miss) for p in (5, 7)
+          for m, misses in ((2, [None]), (3, [1, -1, 2, -2])) for miss in misses]),
+        (["verify", "counterexample", "--n", "6,8"], lambda: counterexample_check, [6, 8]),
+    ], ids=["sharp", "counterexample"])
+    def test_jobs_fan_out_keeps_the_output(self, monkeypatch, argv, worker, items):
+        # the cases go through parallel_map in order, and --jobs 2 prints
+        # what --jobs 1 prints, byte for byte
+        calls = []
+        real = cli.parallel_map
+
+        def recording(fn, cases, jobs=1):
+            calls.append((fn, list(cases), jobs))
+            return real(fn, cases, jobs)
+
+        monkeypatch.setattr(cli, "parallel_map", recording)
+        one, two = (run(argv + ["-f", "json", "--jobs", j]) for j in ("1", "2"))
+        assert one[0] == 0 and two == one
+        assert calls == [(worker(), items, 1), (worker(), items, 2)]
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,11 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invlat import geomnum
+from invlat import geomnum, lattice_core
 from invlat.constructions import SharpCaseSpec, is_prime, sharp_case_lattice
 from invlat.degree_bounds import CapExceededError, bfield
 from invlat.geomnum import (
@@ -456,6 +457,80 @@ class TestRefinementInvariants:
         for build in (gen_deg_basis, mahler_basis):
             with pytest.raises(InternalError, match=r"norm 2 > 1 \* minimum 1"):
                 build(L)
+
+
+def rows_mod(moduli, m, count, seed):
+    """count systems of one row per modulus in dimension m, rows drawn
+    from Random(seed)."""
+    rng = random.Random(seed)
+    return [CongruenceSystem(moduli, tuple(tuple(rng.randrange(n) for _ in range(m))
+                                           for n in moduli))
+            for _ in range(count)]
+
+
+REFINEMENT_FAMILIES = {
+    "drawn": lambda: random_congruence_systems(160, seed=17, m_choices=(2, 3, 4, 5, 6),
+                                               n_max=60),
+    "sharp": lambda: [sharp_case_lattice(SharpCaseSpec(p, m, miss))
+                      for p in range(3, 32) if is_prime(p) for m in range(1, min(p, 7))
+                      for miss in ([None] if m % 2 == 0 else [1, -1])],
+    "row-23-6": lambda: rows_mod((23,), 6, 60, 1),
+    "row-31-5": lambda: rows_mod((31,), 5, 80, 2),
+    "row-29-4": lambda: rows_mod((29,), 4, 100, 3),
+    "two-rows-12-10": lambda: rows_mod((12, 10), 4, 60, 4),
+}
+
+
+class TestRefinementAgainstReference:
+    """The unimodular refinement yields exactly what rebuilding the basis
+    from kernels and rational solves at every minimum yields."""
+
+    @pytest.mark.parametrize("family", sorted(REFINEMENT_FAMILIES))
+    def test_case_families(self, family):
+        mismatches = [system for system in REFINEMENT_FAMILIES[family]()
+                      if list(geomnum._refined(L := from_congruences(system)))
+                      != list(oracles.refined_reference(L))]
+        assert mismatches == []
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_drawn_one_and_two_row_systems(self, data):
+        moduli = tuple(data.draw(st.lists(st.integers(2, 30), min_size=1, max_size=2),
+                                 label="moduli"))
+        m = data.draw(st.integers(1, 5), label="m")
+        rows = tuple(data.draw(st.tuples(*[st.integers(0, n - 1)] * m), label=f"row mod {n}")
+                     for n in moduli)
+        L = from_congruences(CongruenceSystem(moduli, rows))
+        assert list(geomnum._refined(L)) == list(oracles.refined_reference(L))
+
+
+class TestRefinementWork:
+    """Timing-free work gate: the refinement runs no kernel and no solve;
+    only the completion solves, and each basis takes one determinant form."""
+
+    @pytest.mark.parametrize("system", [
+        sharp_case_lattice(SharpCaseSpec(53, 6)),
+        CongruenceSystem((12, 10), ((1, 5, 7, 11, 2), (3, 1, 4, 1, 5))),
+    ], ids=["sharp-53-6", "two-rows"])
+    def test_kernel_and_solve_counts(self, monkeypatch, system):
+        L = from_congruences(system)
+        calls = Counter()
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for module in (geomnum, lattice_core):
+            for name in ("integer_kernel", "_solve", "determinant_form"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        gen_deg_basis(L)
+        assert dict(calls) == {"_solve": 1, "determinant_form": 1}
+        calls.clear()
+        mahler_basis(L)
+        assert dict(calls) == {"determinant_form": 1}
 
 
 class TestEffectiveMinimaBounds:
