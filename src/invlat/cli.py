@@ -81,7 +81,7 @@ def parse_range(text):
 
 
 def parse_construct(text):
-    """"sharp:p=5,m=2" -> (name, {p: 5, m: 2}); values are ints."""
+    """"sharp:p=5,m=2" -> (name, {p: 5, m: 2}); values are ints, keys unique."""
     name, _, rest = text.partition(":")
     name = name.strip()
     params = {}
@@ -90,7 +90,10 @@ def parse_construct(text):
             k, eq, v = item.partition("=")
             if not eq:
                 raise ValueError(f"expected k=v, got {item!r}")
-            params[k.strip()] = int(v)
+            k = k.strip()
+            if k in params:
+                raise ValueError(f"repeated {name} parameter {k}")
+            params[k] = int(v)
     return name, params
 
 
@@ -193,9 +196,11 @@ def cmd_bounds(args):
     L = from_congruences(system)
     which = ("dspan", "bfield", "bfieldr") if args.which == "all" else \
         tuple(w.strip() for w in args.which.split(","))
-    for w in which:
+    for j, w in enumerate(which):
         if w not in BOUND_FUNCS:
             raise ValueError(f"unknown bound {w!r}")
+        if w in which[:j]:
+            raise ValueError(f"repeated bound {w!r}")
     reports = {w: BOUND_FUNCS[w](L, cap=args.cap) for w in which}
     bounds = {w: reports[w].to_jsonable() for w in which}
 

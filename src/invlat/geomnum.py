@@ -4,8 +4,9 @@ Successive minima by exhaustive search over the lattice members of each
 shell, the Minkowski product test, short bases refined from minima
 witnesses, and the completion of m - 1 short independent vectors to a
 genuine basis via the determinant linear form, whose coefficient j is
-det(b_1, ..., b_{m-1}, e_j).  The refinement runs on xgcd steps; solves,
-determinants and determinant forms on one fraction-free elimination
+det(b_1, ..., b_{m-1}, e_j).  The refinement and the completion both run
+on one fold of inverse rows (_fold) through the xgcd column step of
+lattice_core; determinant forms on one fraction-free elimination
 (Bareiss, _eliminate) on Python ints; root enclosures on Fraction.
 Nothing is floating point.
 """
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 from .ball_enum import shell_walker
 from .degree_bounds import CapExceededError
-from .lattice_core import InternalError, is_generating, l1norm, xgcd
+from .lattice_core import InternalError, _gcd_step, is_generating, l1norm
 
 
 class DependentInputError(ValueError):
@@ -122,9 +123,8 @@ def _eliminate(aug, k):
     and the pivot rows are the ones plain Gauss-Jordan picks.  After step c
     a row that was never a pivot holds, in column j, the determinant of
     the pivot rows (in pivot order) and itself over columns 0..c and j.
-    Returns (pivot_rows, last pivot); fewer than k pivot rows means the
-    first k columns are dependent, and elimination stopped at the first one
-    without a pivot.
+    Returns pivot_rows; fewer than k of them means the first k columns are
+    dependent, and elimination stopped at the first one without a pivot.
     """
     pivot_rows = []
     prev = 1
@@ -140,49 +140,24 @@ def _eliminate(aug, k):
                 f = row[c]
                 aug[r] = [(pv * a - f * b) // prev for a, b in zip(row, prow)]
         prev = pv
-    return pivot_rows, prev
+    return pivot_rows
 
 
-def _solve(columns, target):
-    """Solve sum_j x_j columns[j] = target over Q; needs independent columns.
+def _fold(rows, x, i):
+    """One xgcd fold of x into row i of the inverse rows, in place.
 
-    target may hold ints or Fractions; it is scaled by the lcm of their
-    denominators and eliminated by _eliminate on Python ints.  Returns
-    (nums, den) with den > 0 and x_j = nums[j] / den.
+    rows[k] is [c_k] + V_k.  Each c_k becomes V_k . x, then every nonzero
+    c_k with k > i is cleared into c_i by lattice_core._gcd_step, a
+    unimodular step on rows i and k, and row i is negated if c_i < 0.
+    Afterwards c_i >= 0 is the gcd of the old c_i..c_{m-1}.
     """
-    k = len(columns)
-    scale = math.lcm(*(t.denominator for t in target))
-    aug = [[col[r] for col in columns] + [t.numerator * (scale // t.denominator)]
-           for r, t in enumerate(target)]
-    pivot_rows, prev = _eliminate(aug, k)
-    if len(pivot_rows) < k:
-        raise DependentInputError("columns are linearly dependent")
-    if any(row[k] for r, row in enumerate(aug) if r not in pivot_rows):
-        raise NoSolutionError("target is outside the span of the columns")
-    den = prev * scale
-    nums = [aug[r][k] for r in pivot_rows]
-    if den < 0:
-        den, nums = -den, [-t for t in nums]
-    return nums, den
-
-
-def _solve_integer_combo(values, target):
-    """Deterministic integer x with sum x_k values[k] = target, via running gcds."""
-    g = 0
-    coeffs = []
-    for v in values:
-        g2, a, b = xgcd(g, v)
-        coeffs = [a * t for t in coeffs]
-        coeffs.append(b)
-        g = g2
-    if g == 0:
-        if target == 0:
-            return [0] * len(values)
-        raise NoSolutionError("all values are zero")
-    if target % g:
-        raise NoSolutionError(f"{target} is not a multiple of gcd {g}")
-    scale = target // g
-    return [t * scale for t in coeffs]
+    for row in rows:
+        row[0] = sum(a * b for a, b in zip(row[1:], x))
+    for k in range(i + 1, len(rows)):
+        if rows[k][0]:
+            _gcd_step(rows[i], rows[k], 0)
+    if rows[i][0] < 0:
+        rows[i] = [-t for t in rows[i]]
 
 
 @dataclass(frozen=True)
@@ -196,11 +171,12 @@ def mahler_basis(L) -> MahlerBasis:
     """Basis of L with the i-th vector inside span of the first i minima
     witnesses and norm at most i * lambda_i; determinant forced to +index.
 
-    Classical refinement on one unimodular basis and its inverse, with no
-    kernel or solve per minimum: xgcd steps fold witness i into column i,
-    which is then shifted by the rounding box around w_i / a_i to stay
-    short.  The i * lambda_i ceiling is checked and a violation raises,
-    rather than returning a silently weaker basis.
+    Classical refinement on the inverse rows of one unimodular basis, with
+    no kernel or solve per minimum: an xgcd fold (_fold) brings witness i
+    onto b_1..b_{i-1} and one new lattice vector, which is then shifted by
+    the rounding box around w_i / a_i to stay short.  The i * lambda_i
+    ceiling is checked and a violation raises, rather than returning a
+    silently weaker basis.
     """
     m = L.dimension
     values, witnesses, basis_amb = zip(*_refined(L))
@@ -221,58 +197,45 @@ def _refined(L):
     """Yield (radius, witness, vector) for each successive minimum in turn,
     the vector being the refinement of mahler_basis before its sign fix.
 
-    U (columns, in L's coordinates) is unimodular with inverse V (rows);
-    before witness i its first i - 1 columns are b_1..b_{i-1}.  Of c, the
-    coordinates of w_i over U, each nonzero c_k with k > i is folded into
-    a_i = c_i by an xgcd step on U and V, and a_i < 0 negates U_i and V_i.
-    The vector is the (norm, lex)-least U_i + sum z_j U_j, z_j the floor or
-    ceiling of c_j / a_i, and it replaces U_i (V_j -= z_j V_i).  Its norm
-    is checked against i * lambda_i; a failed invariant raises
-    InternalError.  No kernel or solve runs per minimum (tests/oracles.py
-    keeps the rebuild-per-minimum refinement as refined_reference).  The
-    i-th vector depends only on witnesses 1..i, so taking the first k of
-    them walks no shell beyond lambda_k.
+    rows holds, after a c slot, the rows V_k of the inverse of a unimodular
+    basis U of L's coordinates whose first i - 1 columns are b_1..b_{i-1};
+    U itself is never formed.  _fold(rows, coords of w_i, i) leaves c with
+    w_i = a_i u + sum_{j<i} c_j b_j, u = U_i in ambient coordinates and
+    a_i = c_i > 0.  The vector is the (norm, lex)-least u + sum z_j b_j,
+    z_j the floor or ceiling of c_j / a_i, that is
+    (w_i + sum (a_i z_j - c_j) b_j) / a_i; it becomes U_i through the shear
+    V_j -= z_j V_i.  Its norm is checked against i * lambda_i; a failed
+    invariant raises InternalError.  No kernel or solve runs per minimum
+    (tests/oracles.py keeps the rebuild-per-minimum refinement as
+    refined_reference).  The i-th vector depends only on witnesses 1..i,
+    so taking the first k of them walks no shell beyond lambda_k.
     """
     m = L.dimension
-    U = [[int(j == k) for k in range(m)] for j in range(m)]
-    V = [list(row) for row in U]
-    for i, (radius, w) in enumerate(_minima(L, L.index)):  # column i: witness i + 1
-        wx = L.coords(w)
-        c = [sum(a * b for a, b in zip(row, wx)) for row in V]
-        for k in range(i + 1, m):
-            if c[k]:
-                g, s, t = xgcd(c[i], c[k])
-                p, q = c[i] // g, c[k] // g
-                U[i], U[k] = ([p * a + q * b for a, b in zip(U[i], U[k])],
-                              [s * b - t * a for a, b in zip(U[i], U[k])])
-                V[i], V[k] = ([s * a + t * b for a, b in zip(V[i], V[k])],
-                              [p * b - q * a for a, b in zip(V[i], V[k])])
-                c[i], c[k] = g, 0
-        a_i = c[i]
+    rows = [[0] + [int(j == k) for k in range(m)] for j in range(m)]
+    basis = []
+    for i, (radius, w) in enumerate(_minima(L, L.index)):  # row i: witness i + 1
+        _fold(rows, L.coords(w), i)
+        a_i = rows[i][0]
         if a_i == 0:
             raise InternalError(f"minima witness {i + 1} fell into the previous span")
-        if a_i < 0:
-            a_i = -a_i
-            U[i] = [-t for t in U[i]]
-            V[i] = [-t for t in V[i]]
-        options = [(t // a_i,) if t % a_i == 0 else (t // a_i, t // a_i + 1)
-                   for t in c[:i]]
+        c = [row[0] for row in rows[:i]]
+        options = [(t // a_i,) if t % a_i == 0 else (t // a_i, t // a_i + 1) for t in c]
         candidates = []
         for zs in itertools.product(*options):
-            x = [sum(z * u[k] for z, u in zip(zs + (1,), U)) for k in range(m)]
-            amb = tuple(sum(x[k] * L.columns[k][r] for k in range(m)) for r in range(m))
-            candidates.append((l1norm(amb), amb, x, zs))
-        nm, amb, x, zs = min(candidates)
+            f = [a_i * z - t for z, t in zip(zs, c)]
+            amb = tuple((w[r] + sum(e * b[r] for e, b in zip(f, basis))) // a_i
+                        for r in range(m))
+            candidates.append((l1norm(amb), amb, zs))
+        nm, amb, zs = min(candidates)
         if nm > (i + 1) * radius:
             raise InternalError(
                 f"basis vector {i + 1} has norm {nm} > {i + 1} * minimum {radius}")
         for j, z in enumerate(zs):
-            V[j] = [a - z * b for a, b in zip(V[j], V[i])]
+            rows[j] = [a - z * b for a, b in zip(rows[j], rows[i])]
         if next((t for t in amb if t != 0), 0) < 0:
             amb = tuple(-t for t in amb)
-            x = [-t for t in x]
-            V[i] = [-t for t in V[i]]
-        U[i] = x
+            rows[i] = [-t for t in rows[i]]
+        basis.append(amb)
         yield radius, w, amb
 
 
@@ -305,7 +268,7 @@ def determinant_form(vectors, dimension=None) -> DeterminantForm:
         raise ValueError("expected m - 1 vectors of length m")
     aug = [[v[r] for v in vs] + [1 if k == r else 0 for k in range(m)]
            for r in range(m)]
-    pivot_rows, _ = _eliminate(aug, m - 1)
+    pivot_rows = _eliminate(aug, m - 1)
     if len(pivot_rows) < m - 1:
         raise DependentInputError("vectors are linearly dependent")
     order = pivot_rows + [r for r in range(m) if r not in pivot_rows]
@@ -334,43 +297,52 @@ class BasisCompletion:
 def complete_basis_short(L, short_vectors) -> BasisCompletion:
     """Complete m - 1 independent short members of L to a basis of L.
 
-    b* is found inside the affine hyperplane {w : D . w = index}: take the
-    deterministic c in L with D . c = index, then shift by the floor of the
-    rational coordinates of (index / D*) e_{j*} - c over the given vectors.
-    That pins ||b*||_1 <= index / |D*| + sum of the given norms, and makes
-    det(b_1, ..., b_{m-1}, b*) = +index exactly.
+    b* is the one member of L on the affine hyperplane {w : D . w = index}
+    with (index / D*) e_{j*} - b* in the half-open parallelepiped
+    sum [0, 1) b_j: b* = (index / D*) e_{j*} - sum frac(t_j) b_j, with t the
+    coordinates of (index / D*) e_{j*} over b_1..b_{m-1} and the vector
+    that completes them.  t comes from the inverse rows V of that completed
+    basis in L's coordinates, built by folding the coordinates of each b_j
+    (_fold) and shearing the rows above it, so t_j = V_j . y / D* with y
+    the coordinates of index e_{j*}; everything stays in integers.  That
+    pins ||b*||_1 <= index / |D*| + sum of the given norms, and makes
+    det(b_1, ..., b_{m-1}, b*) = +index exactly.  The vectors extend to a
+    basis iff the gcd of D over L's columns is the index; otherwise, or
+    when a vector is not in L, NoSolutionError is raised.
     """
     m = L.dimension
     bs = [tuple(v) for v in short_vectors]
     if len(bs) != m - 1:
         raise ValueError("expected m - 1 vectors")
-    for v in bs:
-        if v not in L:
-            raise NoSolutionError("short vectors must lie in the lattice")
+    try:
+        xs = [L.coords(v) for v in bs]
+    except ValueError as exc:
+        raise NoSolutionError("short vectors must lie in the lattice") from exc
     form = determinant_form(bs, m)
     D = form.coefficients
     dstar_index = max(range(m), key=lambda j: abs(D[j]))
     dstar = D[dstar_index]
-    images = [form.apply(col) for col in L.columns]
-    x = _solve_integer_combo(images, L.index)
-    c = [sum(x[k] * L.columns[k][r] for k in range(m)) for r in range(m)]
-    diff = [Fraction(L.index, dstar) - c[r] if r == dstar_index else Fraction(-c[r])
-            for r in range(m)]
-    nums, den = _solve(bs, diff)
-    bstar = list(c)
-    for t, b in zip(nums, bs):
-        ft = t // den
-        if ft:
-            for r in range(m):
-                bstar[r] += ft * b[r]
-    bstar = tuple(bstar)
+    if math.gcd(*(form.apply(col) for col in L.columns)) != L.index:
+        raise NoSolutionError("short vectors do not extend to a basis of the lattice")
+    rows = [[0] + [int(j == k) for k in range(m)] for j in range(m)]
+    for i, x in enumerate(xs):
+        _fold(rows, x, i)
+        if rows[i][0] != 1:
+            raise InternalError("completion found a pivot other than 1; construction bug")
+        for j in range(i):
+            q = rows[j][0]
+            rows[j] = [a - q * b for a, b in zip(rows[j], rows[i])]
+    y = L.coords(tuple(L.index if r == dstar_index else 0 for r in range(m)))
+    d, sign = abs(dstar), (1 if dstar > 0 else -1)
+    fracs = [sign * sum(a * b for a, b in zip(row[1:], y)) % d for row in rows[:-1]]
+    bstar = tuple((sign * L.index * (r == dstar_index)
+                   - sum(f * b[r] for f, b in zip(fracs, bs))) // d for r in range(m))
     if form.apply(bstar) != L.index:
         raise InternalError("completion missed the determinant target; construction bug")
-    norm_bound = Fraction(L.index, abs(dstar)) + sum(l1norm(b) for b in bs)
+    norm_bound = Fraction(L.index, d) + sum(l1norm(b) for b in bs)
     if l1norm(bstar) > norm_bound:
         raise InternalError("completion exceeded its norm bound; construction bug")
-    return BasisCompletion(
-        bstar, dstar, dstar_index, norm_bound, abs(dstar) >= L.index, form)
+    return BasisCompletion(bstar, dstar, dstar_index, norm_bound, d >= L.index, form)
 
 
 @dataclass(frozen=True)

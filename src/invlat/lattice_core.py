@@ -56,10 +56,11 @@ def _gcd_step(carrier, col, j):
     """Unimodular 2x2 column step that clears col[j] against carrier[j].
 
     Both vectors change from index j to their end; afterwards carrier[j] is
-    gcd(carrier[j], col[j]) up to sign and col[j] is 0.
+    gcd(carrier[j], col[j]) up to sign and col[j] is 0.  A zero carrier[j]
+    takes the xgcd branch, which swaps the two up to sign.
     """
     a, b = carrier[j], col[j]
-    if b % a == 0:
+    if a and b % a == 0:
         q = b // a
         for k in range(j, len(col)):
             col[k] -= q * carrier[k]

@@ -5,10 +5,11 @@ first-principles linear algebra over Fractions, sharing no code with the
 package under test, so disagreement always means a real bug on one side.
 The exceptions are at the end: lattice_shell_points and
 lattice_points_up_to drive the package's shell walker and are checked
-against these oracles, and refined_reference, the Mahler refinement
-rebuilt from kernels and rational solves at every minimum, drives the
-package's minima walk (_minima), integer_kernel, determinant_form and
-_solve_integer_combo.
+against these oracles; refined_reference, the Mahler refinement rebuilt
+from kernels and rational solves at every minimum, drives the package's
+minima walk (_minima), integer_kernel and determinant_form; and
+completion_reference, the basis completion from a base point and
+rational coordinates, drives determinant_form and lattice membership.
 """
 
 from fractions import Fraction
@@ -181,6 +182,19 @@ def gcd_int(a, b):
     return a
 
 
+def xgcd_int(a, b):
+    """(g, x, y) with g = gcd(a, b) >= 0 and x a + y b = g."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        a, x0, y0 = -a, -x0, -y0
+    return a, x0, y0
+
+
 def oracle_dspan(system, cap=None):
     """First radius whose nonnegative points hit every coset label."""
     order = subgroup_order(system)
@@ -272,7 +286,7 @@ def refined_reference(L):
     and t the coordinates of w_i / a_i - y0 over b_1..b_{i-1}, sign-fixed
     to a positive leading entry.  Coordinates come from solve_fractions.
     """
-    from invlat.geomnum import _minima, _solve_integer_combo, determinant_form
+    from invlat.geomnum import _minima, determinant_form
     from invlat.lattice_core import integer_kernel
 
     def integer_coords(columns, target):
@@ -294,7 +308,7 @@ def refined_reference(L):
         if a_i < 0:
             g, a_i = -g, -a_i
         f = [t // g for t in f]
-        y0 = _solve_integer_combo(f, 1)
+        y0 = solve_integer_combo(f, 1)
         delta = [Fraction(yv[k], a_i) - y0[k] for k in range(i)]
         t = solve_fractions(cs, delta)
         options = [(int(s),) if s.denominator == 1 else (floor(s), ceil(s)) for s in t]
@@ -317,3 +331,60 @@ def refined_reference(L):
             x = [-t for t in x]
         basis_x.append(x)
         yield radius, w, amb
+
+
+def solve_integer_combo(values, target):
+    """Deterministic integer x with sum x_k values[k] = target, via running
+    gcds; raises invlat's NoSolutionError when there is none."""
+    from invlat.geomnum import NoSolutionError
+
+    g = 0
+    coeffs = []
+    for v in values:
+        g2, a, b = xgcd_int(g, v)
+        coeffs = [a * t for t in coeffs]
+        coeffs.append(b)
+        g = g2
+    if g == 0:
+        if target == 0:
+            return [0] * len(values)
+        raise NoSolutionError("all values are zero")
+    if target % g:
+        raise NoSolutionError(f"{target} is not a multiple of gcd {g}")
+    scale = target // g
+    return [t * scale for t in coeffs]
+
+
+def completion_reference(L, short_vectors):
+    """invlat.geomnum.complete_basis_short as it once was: the integer c in
+    L with D . c = index from solve_integer_combo over D's values on L's
+    columns, shifted by the floors of the rational coordinates of
+    (index / D*) e_{j*} - c over the given vectors (from solve_fractions).
+    Raises what complete_basis_short raises."""
+    from invlat.geomnum import (BasisCompletion, NoSolutionError, determinant_form,
+                                InternalError)
+
+    m = L.dimension
+    bs = [tuple(v) for v in short_vectors]
+    if len(bs) != m - 1:
+        raise ValueError("expected m - 1 vectors")
+    for v in bs:
+        if v not in L:
+            raise NoSolutionError("short vectors must lie in the lattice")
+    form = determinant_form(bs, m)
+    D = form.coefficients
+    dstar_index = max(range(m), key=lambda j: abs(D[j]))
+    dstar = D[dstar_index]
+    x = solve_integer_combo([form.apply(col) for col in L.columns], L.index)
+    c = [sum(x[k] * L.columns[k][r] for k in range(m)) for r in range(m)]
+    diff = [Fraction(L.index, dstar) - c[r] if r == dstar_index else Fraction(-c[r])
+            for r in range(m)]
+    t = solve_fractions(bs, diff)
+    bstar = tuple(c[r] + sum(floor(tj) * b[r] for tj, b in zip(t, bs)) for r in range(m))
+    if form.apply(bstar) != L.index:
+        raise InternalError("completion missed the determinant target")
+    norm_bound = Fraction(L.index, abs(dstar)) + sum(sum(map(abs, b)) for b in bs)
+    if sum(map(abs, bstar)) > norm_bound:
+        raise InternalError("completion exceeded its norm bound")
+    return BasisCompletion(
+        bstar, dstar, dstar_index, norm_bound, abs(dstar) >= L.index, form)

@@ -94,6 +94,16 @@ class TestBounds:
         assert [line.split(",")[0] for line in text.splitlines()[1:]] == \
             ["dspan", "bfieldr"]
 
+    def test_repeated_bound_rejected(self, capsys):
+        # json would keep one key where csv and pretty printed two rows
+        for which in ("dspan,dspan", "bfield,dspan,bfield"):
+            for fmt in ("json", "csv", "pretty"):
+                argv = ["bounds", "--construct", "sharp:p=5,m=2", "--which", which,
+                        "--format", fmt]
+                assert run(argv) == (2, ""), argv
+                name = which.split(",")[0]
+                assert capsys.readouterr().err == f"error: repeated bound '{name}'\n"
+
     def test_pretty(self):
         code, text = run(["bounds", "--congruence", MOD4])
         assert code == 0
@@ -480,6 +490,15 @@ class TestConstruct:
         for argv, message in cases:
             assert run(argv) == (2, ""), argv
             assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_repeated_parameter_rejected(self, capsys):
+        # a repeated key used to keep its last value silently
+        for argv in (["construct", "sharp:p=5,m=2,p=7"],
+                     ["construct", "sharp:p=5,m=2,p=7", "--format", "json"],
+                     ["bounds", "--construct", "sharp:p=5,m=2,p=7"],
+                     ["bounds", "--construct", "sharp:p=5, m=2,p=5", "--format", "csv"]):
+            assert run(argv) == (2, ""), argv
+            assert capsys.readouterr().err == "error: repeated sharp parameter p\n"
 
     def test_construct_flag_needs_a_lattice(self, capsys):
         assert run(["bounds", "--construct", "dihedral:n=4"]) == (2, "")

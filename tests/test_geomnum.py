@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -161,56 +162,6 @@ class TestSuccessiveMinima:
             for i, lam in enumerate(sm.values, start=1):
                 below = [p for p in oracles.members_up_to(system, lam - 1)]
                 assert oracles.rank_of(below) < i if below else True
-
-
-def solve_outcome(solve, columns, target, dependent, outside):
-    try:
-        return solve(columns, target)
-    except dependent:
-        return "dependent"
-    except outside:
-        return "outside"
-
-
-class TestSolve:
-    @settings(max_examples=400, deadline=None)
-    @given(st.data())
-    def test_matches_fraction_oracle(self, data):
-        # the fraction-free solver against Gauss-Jordan on Fractions: same
-        # solutions, and the same verdict on dependent columns and on
-        # targets outside their span
-        n = data.draw(st.integers(0, 5), label="n")
-        k = data.draw(st.integers(0, 5), label="k")
-        entry = st.integers(-6, 6)
-        columns = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
-                                     min_size=k, max_size=k), label="columns")
-        if k >= 2 and data.draw(st.booleans(), label="dependent"):
-            mult = data.draw(st.lists(st.integers(-2, 2), min_size=k - 1, max_size=k - 1))
-            columns[-1] = [sum(a * c[r] for a, c in zip(mult, columns)) for r in range(n)]
-        rational = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))
-        if data.draw(st.booleans(), label="in span"):
-            x = data.draw(st.lists(rational, min_size=k, max_size=k), label="x")
-            target = [sum((a * c[r] for a, c in zip(x, columns)), Fraction(0))
-                      for r in range(n)]
-        else:
-            target = data.draw(st.lists(rational, min_size=n, max_size=n), label="target")
-        expected = solve_outcome(oracles.solve_fractions, columns, target,
-                                 oracles.DependentColumns, oracles.OutsideSpan)
-        got = solve_outcome(geomnum._solve, columns, target,
-                            DependentInputError, NoSolutionError)
-        if isinstance(got, tuple):
-            nums, den = got
-            assert den > 0
-            got = [Fraction(t, den) for t in nums]
-        assert got == expected
-
-    def test_verdicts(self):
-        nums, den = geomnum._solve([(2, 1, 0), (0, 3, 3)], (Fraction(1, 2), Fraction(13, 4), 3))
-        assert [Fraction(t, den) for t in nums] == [Fraction(1, 4), 1]
-        with pytest.raises(DependentInputError):
-            geomnum._solve([(1, 2), (-2, -4)], (0, 0))
-        with pytest.raises(NoSolutionError):
-            geomnum._solve([(1, 1, 0)], (1, 1, Fraction(1, 3)))
 
 
 class TestMinkowski:
@@ -504,9 +455,83 @@ class TestRefinementAgainstReference:
         assert list(geomnum._refined(L)) == list(oracles.refined_reference(L))
 
 
+def completion_inputs(L):
+    """(vectors, expected outcome or None) for complete_basis_short on L:
+    the first m - 1 refined vectors, the first m - 1 minima witnesses, and,
+    built from the refined vectors, a wrong count, a doubled b_1, a zero
+    b_1 (dependent) and a b_1 outside L."""
+    m = L.dimension
+    steps = list(itertools.islice(geomnum._refined(L), m - 1))
+    refined = [b for _, _, b in steps]
+    yield refined, geomnum.BasisCompletion
+    yield [w for _, w, _ in steps], None
+    yield refined + [(0,) * m], ValueError
+    if m < 2:
+        return
+    yield [tuple(2 * t for t in refined[0])] + refined[1:], NoSolutionError
+    yield [(0,) * m] + refined[1:], DependentInputError
+    outside = next((e for e in (tuple(int(j == k) for j in range(m)) for k in range(m))
+                    if e not in L), None)
+    if outside is not None:
+        yield [outside] + refined[1:], NoSolutionError
+
+
+def completion_outcome(complete, L, vectors):
+    try:
+        return complete(L, vectors)
+    except (ValueError, InternalError) as exc:
+        return type(exc)
+
+
+def completion_mismatches(L):
+    """The inputs of completion_inputs(L) on which complete_basis_short and
+    completion_reference disagree, in value or exception type, or give an
+    outcome other than the expected one."""
+    out = []
+    for vectors, expected in completion_inputs(L):
+        got = completion_outcome(complete_basis_short, L, vectors)
+        ref = completion_outcome(oracles.completion_reference, L, vectors)
+        kind = got if isinstance(got, type) else type(got)
+        if got != ref or expected not in (None, kind):
+            out.append((vectors, got, ref))
+    return out
+
+
+class TestCompletionAgainstReference:
+    """The completion by fractional parts over the folded inverse rows gives
+    what the base point plus rational coordinates gives, and raises what it
+    raises."""
+
+    @pytest.mark.parametrize("family", sorted(REFINEMENT_FAMILIES))
+    def test_case_families(self, family):
+        mismatches = [(system, bad) for system in REFINEMENT_FAMILIES[family]()
+                      if (bad := completion_mismatches(from_congruences(system)))]
+        assert mismatches == []
+
+    def test_bare_bases(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            m = rng.randint(1, 4)
+            vectors = [tuple(rng.randint(-6, 6) for _ in range(m)) for _ in range(m)]
+            if det_of(vectors) == 0:
+                continue
+            assert completion_mismatches(LatticeBasis.from_generators(vectors, m)) == []
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_drawn_one_and_two_row_systems(self, data):
+        moduli = tuple(data.draw(st.lists(st.integers(2, 30), min_size=1, max_size=2),
+                                 label="moduli"))
+        m = data.draw(st.integers(1, 5), label="m")
+        rows = tuple(data.draw(st.tuples(*[st.integers(0, n - 1)] * m), label=f"row mod {n}")
+                     for n in moduli)
+        assert completion_mismatches(from_congruences(CongruenceSystem(moduli, rows))) == []
+
+
 class TestRefinementWork:
-    """Timing-free work gate: the refinement runs no kernel and no solve;
-    only the completion solves, and each basis takes one determinant form."""
+    """Timing-free work gate: neither the refinement nor the completion runs
+    a kernel or a solve; each basis takes one determinant form, and that is
+    its one fraction-free elimination."""
 
     @pytest.mark.parametrize("system", [
         sharp_case_lattice(SharpCaseSpec(53, 6)),
@@ -523,14 +548,14 @@ class TestRefinementWork:
             return wrapper
 
         for module in (geomnum, lattice_core):
-            for name in ("integer_kernel", "_solve", "determinant_form"):
+            for name in ("integer_kernel", "_eliminate", "determinant_form"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         gen_deg_basis(L)
-        assert dict(calls) == {"_solve": 1, "determinant_form": 1}
+        assert dict(calls) == {"_eliminate": 1, "determinant_form": 1}
         calls.clear()
         mahler_basis(L)
-        assert dict(calls) == {"determinant_form": 1}
+        assert dict(calls) == {"_eliminate": 1, "determinant_form": 1}
 
 
 class TestEffectiveMinimaBounds:

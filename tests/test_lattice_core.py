@@ -11,6 +11,7 @@ from invlat.lattice_core import (
     GeneratedLattice,
     InvalidSystemError,
     LatticeBasis,
+    _gcd_step,
     detect_trivial_or_duplicate,
     drop_trivial_and_duplicates,
     from_congruences,
@@ -65,6 +66,21 @@ class TestHelpers:
         assert l1norm((1, -3, 0)) == 4
         assert weight((1, -3, 0)) == -2
         assert l1norm(()) == 0
+
+    @pytest.mark.parametrize("carrier, col, j", [
+        ([0, 2, 3], [5, 1, -4], 0),
+        ([0, -3, 1], [-4, 6, 2], 0),
+        ([0, 0, 2], [0, -6, 5], 1),
+    ])
+    def test_gcd_step_with_zero_carrier_entry(self, carrier, col, j):
+        # a zero carrier[j] takes the xgcd branch: the step is unimodular,
+        # so the independent pair spans what it spanned, and clears col[j]
+        before = hnf_columns([carrier, col], len(col))
+        c, v = list(carrier), list(col)
+        _gcd_step(c, v, j)
+        assert v[j] == 0 and abs(c[j]) == abs(col[j])
+        assert (c[:j], v[:j]) == (carrier[:j], col[:j])
+        assert hnf_columns([c, v], len(col)) == before
 
     def test_hnf_worked_example(self):
         cols, pivots = hnf_columns([(1, 1), (3, -1), (0, 4)], 2)
