@@ -62,21 +62,27 @@ def table_lines(header, rows):
 
 # ---------------------------------------------------------------- input forms
 
-def parse_range(text):
-    """"1..24" -> 1..24 inclusive; "6,8,10" -> that list; "7" -> [7]."""
+def parse_range(text, flag):
+    """"1..24" -> 1..24 inclusive; "6,8,10" -> that list; "7" -> [7].
+    Errors name *flag*, the option that gave the text."""
+    def integer(s):
+        try:
+            return int(s)
+        except ValueError:
+            raise ValueError(f"{flag} expects integers, got {s.strip()!r}") from None
+
     out = []
     for part in text.split(","):
         part = part.strip()
         if ".." in part:
-            lo, hi = part.split("..", 1)
-            lo, hi = int(lo), int(hi)
+            lo, hi = map(integer, part.split("..", 1))
             if hi < lo:
-                raise ValueError(f"empty range {part}")
+                raise ValueError(f"{flag} has an empty range {part}")
             out.extend(range(lo, hi + 1))
         else:
-            out.append(int(part))
+            out.append(integer(part))
     if not out:
-        raise ValueError("empty range")
+        raise ValueError(f"{flag} is empty")
     return out
 
 
@@ -93,7 +99,11 @@ def parse_construct(text):
             k = k.strip()
             if k in params:
                 raise ValueError(f"repeated {name} parameter {k}")
-            params[k] = int(v)
+            try:
+                params[k] = int(v)
+            except ValueError:
+                raise ValueError(f"{name} parameter {k} expects an integer, "
+                                 f"got {v.strip()!r}") from None
     return name, params
 
 
@@ -332,7 +342,7 @@ def _bite_case(item):
 
 
 def _verify_hrd(args, jobs):
-    groups = [rank2.hrd_verify(n, jobs=jobs) for n in parse_range(args.n)]
+    groups = [rank2.hrd_verify(n, jobs=jobs) for n in parse_range(args.n, "--n")]
     violations = [v for g in groups for v in g.violations]
     rows = [(g.n, g.sigma, g.count, g.excluded_count,
              g.max_dspan_nonexcluded, len(g.violations)) for g in groups]
@@ -352,7 +362,8 @@ def _verify_hrd(args, jobs):
 
 
 def _verify_counterexample(args, jobs):
-    reports = parallel_map(constructions.counterexample_check, parse_range(args.n), jobs)
+    reports = parallel_map(constructions.counterexample_check,
+                           parse_range(args.n, "--n"), jobs)
     violations = [f"n={r.n}" for r in reports if not r.ok]
     rows = [(r.n, r.bfieldr, r.half, r.bound, r.ok) for r in reports]
     payload = {
@@ -370,7 +381,7 @@ def _verify_sampled(worker, args, jobs):
     at_least("--random", args.random, 0)
     at_least("--nmax", args.nmax, 4)
     systems = random_congruence_systems(
-        args.random, args.seed, m_choices=tuple(parse_range(args.m)),
+        args.random, args.seed, m_choices=tuple(parse_range(args.m, "--m")),
         n_max=args.nmax)
     items = [(s, args.seed + i) for i, s in enumerate(systems)]
     results = list(zip(systems, parallel_map(worker, items, jobs)))
@@ -395,12 +406,13 @@ def _sharp_case(spec):
 
 
 def _verify_sharp(args, jobs):
+    primes, ms = parse_range(args.primes, "--primes"), parse_range(args.m, "--m")
     specs = []
-    for p in parse_range(args.primes):
+    for p in primes:
         # the sharp family is defined for odd primes only
         if p == 2 or not constructions.is_prime(p):
             continue
-        for m in parse_range(args.m):
+        for m in ms:
             if m >= p:
                 continue
             missings = [None] if m % 2 == 0 else \
@@ -485,10 +497,10 @@ def _scan_cell(cell):
 
 def cmd_scan(args):
     jobs = resolve_jobs(args.jobs)
-    primes = [p for p in parse_range(args.primes) if constructions.is_prime(p)]
+    primes = [p for p in parse_range(args.primes, "--primes") if constructions.is_prime(p)]
     if not primes:
         raise ValueError("no primes in range")
-    ms = parse_range(args.m)
+    ms = parse_range(args.m, "--m")
     at_least("--m", min(ms), 1)
     at_least("--samples", args.samples, 0)
     at_least("--cap", args.cap, 0)

@@ -15,12 +15,15 @@ per search, which keeps the suffixes it solves from shell to shell.
 dspan is a breadth-first search over the coset labels of L.presentation,
 one layer per norm, whose witnesses are the minimal-norm, lex-least
 representatives: the points a walk of the nonnegative shells would hit first.
+With one modulus (every single-row system) the labels are integers and each
+layer is generated in lex order, so no candidate is compared or sorted.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 
 from .ball_enum import shell_walker
 from .lattice_core import GeneratedLattice
@@ -74,23 +77,39 @@ def dspan(L, cap=None) -> DegreeBoundReport:
 
     The least norm of a nonnegative point in a coset is its distance from 0
     in the Cayley digraph of Z^m/L on the unit vectors, so dspan is the
-    eccentricity of 0, found in at most m*index steps.  Layer d+1 adds to
-    each coset label k of layer d the label of every e_i; a coset reached
-    for the first time keeps the lexicographically least candidate w(k) + e_i.
+    eccentricity of 0.  Layer d+1 holds the cosets first reached from layer
+    d by adding some e_i; each keeps the lexicographically least candidate
+    w(k) + e_i over the witnesses w(k) of layer d.
 
     That candidate is the minimal-norm, lexicographically least
-    representative: such a representative v has some v_i > 0, and v - e_i is
-    minimal for its own coset, so v >=lex w(k) + e_i for that k.  Each layer
-    is stored sorted by witness, which is shell-then-lexicographic order.
+    representative v: for every i with v_i > 0, v - e_i is the minimal-norm,
+    lexicographically least representative of its own coset (anything
+    smaller, plus e_i, would undercut v), so it is some w(k).  Each layer is
+    held in witness order, which is shell-then-lexicographic order.
+
+    Both searches key the witnesses by label tuple, (k,) for one modulus.
     """
     if cap is None:
         cap = L.index - 1
     rows, moduli = L.presentation
+    if len(moduli) == 1:
+        d, seen = _one_modulus_bfs(rows[0], moduli[0], L.index, cap)
+    else:
+        d, seen = _tuple_label_bfs(rows, moduli, L.index, cap)
+    # d > cap only for a negative cap, which every dspan >= 0 exceeds
+    if len(seen) < L.index or d > cap:
+        raise CapExceededError("dspan", cap)
+    return DegreeBoundReport("dspan", d, seen, L.index, cap)
+
+
+def _tuple_label_bfs(rows, moduli, index, cap):
+    """dspan's BFS on label tuples: every witness of layer d steps along
+    every e_i, and each coset reached keeps its least candidate."""
     steps = list(enumerate(zip(*rows)))
-    seen = {(0,) * len(moduli): (0,) * L.dimension}
+    seen = {(0,) * len(moduli): (0,) * len(steps)}
     layer = list(seen.items())
     d = 0
-    while len(seen) < L.index and d < cap:
+    while len(seen) < index and d < cap:
         reached = {}
         for key, w in layer:
             for i, step in steps:
@@ -103,10 +122,42 @@ def dspan(L, cap=None) -> DegreeBoundReport:
         layer = sorted(reached.items(), key=lambda item: item[1])
         seen.update(layer)
         d += 1
-    # d > cap only for a negative cap, which every dspan >= 0 exceeds
-    if len(seen) < L.index or d > cap:
-        raise CapExceededError("dspan", cap)
-    return DegreeBoundReport("dspan", d, seen, L.index, cap)
+    return d, seen
+
+
+def _one_modulus_bfs(row, n, index, cap):
+    """dspan's BFS on integer labels k = row . v mod n, in lex order.
+
+    Let first(v) be the first nonzero coordinate of v, and first(0) = m - 1.
+    A new witness v is w + e_f for f = first(v) and w = v - e_f a witness
+    of the layer before, and first(w) >= f.  So stepping each w only along
+    the e_i with i <= first(w) reaches every witness exactly once.  Those w
+    are a prefix of the layer, which is in lex order, and a larger first(v)
+    is lex-smaller: running i from m - 1 down to 0, and for each i that
+    prefix in order, makes the candidates in ascending lex order.  The
+    first candidate to reach a coset is its witness, so none is compared
+    or sorted, and a witness w makes first(w) + 1 steps, not m.
+    """
+    m = len(row)
+    zero = (0,) * m
+    seen = {(0,): zero}
+    # ends[i] counts the witnesses of the layer with first(w) >= i
+    layer, ends = [(0, zero)], [1] * m
+    d = 0
+    while len(seen) < index and d < cap:
+        reached, reached_ends = [], [0] * m
+        for i in range(m - 1, -1, -1):
+            c = row[i]
+            for k, w in islice(layer, ends[i]):
+                key = ((k + c) % n,)
+                if key not in seen:
+                    v = w[:i] + (w[i] + 1,) + w[i + 1:]
+                    seen[key] = v
+                    reached.append((key[0], v))
+            reached_ends[i] = len(reached)
+        layer, ends = reached, reached_ends
+        d += 1
+    return d, seen
 
 
 def _generation_search(L, mode, which, cap):

@@ -35,15 +35,20 @@ def load_schema(name):
 
 class TestParsing:
     def test_parse_range(self):
-        assert parse_range("1..4") == [1, 2, 3, 4]
-        assert parse_range("6,8,10") == [6, 8, 10]
-        assert parse_range("7") == [7]
-        assert parse_range("1..3,9") == [1, 2, 3, 9]
+        assert parse_range("1..4", "--n") == [1, 2, 3, 4]
+        assert parse_range("6,8,10", "--n") == [6, 8, 10]
+        assert parse_range("7", "--n") == [7]
+        assert parse_range("1..3,9", "--n") == [1, 2, 3, 9]
 
     def test_parse_range_errors(self):
-        for bad in ("3..1", "", "x"):
-            with pytest.raises(ValueError):
-                parse_range(bad)
+        for bad, message in (("3..1", "--m has an empty range 3..1"),
+                             ("", "--m expects integers, got ''"),
+                             ("x", "--m expects integers, got 'x'"),
+                             ("1..y", "--m expects integers, got 'y'"),
+                             ("2, 3.5", "--m expects integers, got '3.5'")):
+            with pytest.raises(ValueError) as exc:
+                parse_range(bad, "--m")
+            assert str(exc.value) == message
 
     def test_parse_construct(self):
         assert parse_construct("sharp:p=5,m=2") == ("sharp", {"p": 5, "m": 2})
@@ -499,6 +504,38 @@ class TestConstruct:
                      ["bounds", "--construct", "sharp:p=5, m=2,p=5", "--format", "csv"]):
             assert run(argv) == (2, ""), argv
             assert capsys.readouterr().err == "error: repeated sharp parameter p\n"
+
+    def test_non_integer_parameter_names_it(self, capsys):
+        # int() used to report only "invalid literal for int() with base 10"
+        cases = [(["construct", "sharp:p=x,m=2"], "sharp parameter p expects an integer, got 'x'"),
+                 (["construct", "sharp:p=5,m= 2.0"],
+                  "sharp parameter m expects an integer, got '2.0'"),
+                 (["bounds", "--construct", "counterexample:n=", "--format", "csv"],
+                  "counterexample parameter n expects an integer, got ''"),
+                 (["basis", "--construct", "sharp:p=5,m=2,missing=one"],
+                  "sharp parameter missing expects an integer, got 'one'")]
+        for argv, message in cases:
+            assert run(argv) == (2, ""), argv
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_range_flag_names_itself(self, capsys):
+        cases = [(["scan", "--primes", "x", "--m", "3"], "--primes expects integers, got 'x'"),
+                 (["scan", "--primes", "5", "--m", "2..z"], "--m expects integers, got 'z'"),
+                 (["verify", "relations", "--random", "2", "--m", "x"],
+                  "--m expects integers, got 'x'"),
+                 (["verify", "minkowski", "--random", "2", "--m", "4..2"],
+                  "--m has an empty range 4..2"),
+                 (["verify", "sharp", "--primes", "5,q", "--m", "2"],
+                  "--primes expects integers, got 'q'"),
+                 # --m is read even when --primes holds no odd prime
+                 (["verify", "sharp", "--primes", "4", "--m", "x"],
+                  "--m expects integers, got 'x'"),
+                 (["verify", "hrd", "--n", "x"], "--n expects integers, got 'x'"),
+                 (["verify", "counterexample", "--n", "6..", "--format", "json"],
+                  "--n expects integers, got ''")]
+        for argv, message in cases:
+            assert run(argv) == (2, ""), argv
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_construct_flag_needs_a_lattice(self, capsys):
         assert run(["bounds", "--construct", "dihedral:n=4"]) == (2, "")

@@ -231,11 +231,13 @@ class TestDspanAgainstShellSearch:
         assert outcome(dspan, L, cap) == outcome(system_shell_dspan(system), L, cap)
 
     @pytest.mark.parametrize("n, row", [(1399, (1, 1398)), (401, (1, 400, 2))])
-    def test_steps_by_label_without_reducing(self, monkeypatch, n, row):
+    @pytest.mark.parametrize("copies, path", [(1, "_one_modulus_bfs"), (2, "_tuple_label_bfs")])
+    def test_steps_by_label_without_reducing(self, monkeypatch, n, row, copies, path):
         # timing-free work gate: the shell search made about 245,000
         # reductions on the first lattice, and a BFS keyed by box residues
-        # up to m * index; stepping by label makes none
-        L = kernel(n, row)
+        # up to m * index; stepping by label makes none, on integer labels
+        # (one modulus) or on label tuples (the row repeated)
+        L = from_congruences(CongruenceSystem((n,) * copies, (row,) * copies))
         calls = []
 
         def counting(name, fn):
@@ -245,11 +247,71 @@ class TestDspanAgainstShellSearch:
             return wrapper
 
         for target, name in ((LatticeBasis, "reduce"), (LatticeBasis, "__contains__"),
-                             (lattice_core, "triangular_reduce")):
+                             (lattice_core, "triangular_reduce"),
+                             (degree_bounds, "_one_modulus_bfs"),
+                             (degree_bounds, "_tuple_label_bfs")):
             monkeypatch.setattr(target, name, counting(name, getattr(target, name)))
         rep = dspan(L)
-        assert calls == []
+        assert calls == [path]
         assert len(rep.witnesses) == L.index
+
+
+def repeated_row(system):
+    """The lattice of a one-row system, presented by its row repeated mod n."""
+    return from_congruences(CongruenceSystem(system.moduli * 2, system.coefficients * 2))
+
+
+def seeded_rows(count, seed):
+    """One-row systems with m in 1..5 and moduli up to 40, some rows with
+    zero coefficients or a common factor with n."""
+    rng = random.Random(seed)
+    systems = []
+    for _ in range(count):
+        m, n = rng.randint(1, 5), rng.randint(2, 40)
+        g = rng.choice((1, 1, 2, 3))
+        row = tuple(rng.choice((0, g * rng.randrange(n))) % n for _ in range(m))
+        systems.append(CongruenceSystem((n,), (row,)))
+    return systems
+
+
+class TestOneModulusAgainstTuplePath:
+    """dspan on integer labels (one modulus) and on label tuples (the same
+    row given twice) give one value, the same witnesses in the same order,
+    and the same cap errors; the tuple keys are the integer labels
+    repeated."""
+
+    @staticmethod
+    def agreed_outcome(system, cap):
+        one, two = from_congruences(system), repeated_row(system)
+        assert one == two and len(two.presentation[1]) == 2
+        got, ref = outcome(dspan, one, cap), outcome(dspan, two, cap)
+        if got[0] == "cap":
+            assert got == ref, (system, cap)
+        else:
+            assert got[:4] == ref[:4], (system, cap)
+            assert [(k * 2, w) for k, w in got[4]] == ref[4], (system, cap)
+        return got
+
+    @pytest.mark.parametrize("n, row, cap, value", [
+        (12, (4, 6, 2), None, 2),       # gcd(row, n) = 2: index 6
+        (30, (6, 10, 15), None, 7),     # gcd 1 overall, each entry shares one with n
+        (7, (1, 0, 3), None, 3),        # a zero coefficient
+        (9, (0, 3, 0, 6), None, 1),     # zeros and gcd 3: index 3
+        (5, (0, 0), None, 0),           # index 1
+        (2, (0,), 4, 0),
+        (10, (1, 9), 2, "cap"),         # the cap is hit: dspan is 5
+        (10, (1, 9), 4, "cap"),
+        (10, (1, 9), 5, 5),
+        (13, (0, 0, 0), -1, "cap"),     # a negative cap, even at index 1
+    ])
+    def test_cases(self, n, row, cap, value):
+        got = self.agreed_outcome(CongruenceSystem((n,), (row,)), cap)
+        assert got[:2] == (("cap", "dspan") if value == "cap" else ("dspan", value))
+
+    def test_seeded_rows(self):
+        for system in seeded_rows(200, 41):
+            for cap in CAPS:
+                self.agreed_outcome(system, cap)
 
 
 class TestBfield:

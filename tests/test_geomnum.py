@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from invlat import geomnum, lattice_core
 from invlat.constructions import SharpCaseSpec, is_prime, sharp_case_lattice
@@ -432,6 +432,30 @@ REFINEMENT_FAMILIES = {
 }
 
 
+# Both trees walk the minima, whose cost grows with lambda_m: on moduli
+# (16, 11) in m = 5 a walk to radius 20 takes 0.13 s, the walk to
+# lambda_5 = 44 2.6 s (2-core VM, Python 3.11).  Draws with lambda_m above
+# this cap (a sixth to a fifth of hypothesis's draws) are rejected, so no
+# draw walks far.
+WALK_RADIUS_CAP = 20
+
+
+def draw_walkable_lattice(data):
+    """The lattice of a drawn one- or two-row system, moduli <= 30, m <= 5,
+    whose minima all lie within WALK_RADIUS_CAP."""
+    moduli = tuple(data.draw(st.lists(st.integers(2, 30), min_size=1, max_size=2),
+                             label="moduli"))
+    m = data.draw(st.integers(1, 5), label="m")
+    rows = tuple(data.draw(st.tuples(*[st.integers(0, n - 1)] * m), label=f"row mod {n}")
+                 for n in moduli)
+    L = from_congruences(CongruenceSystem(moduli, rows))
+    try:
+        successive_minima(L, cap=WALK_RADIUS_CAP)
+    except CapExceededError:
+        assume(False)
+    return L
+
+
 class TestRefinementAgainstReference:
     """The unimodular refinement yields exactly what rebuilding the basis
     from kernels and rational solves at every minimum yields."""
@@ -446,12 +470,7 @@ class TestRefinementAgainstReference:
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_drawn_one_and_two_row_systems(self, data):
-        moduli = tuple(data.draw(st.lists(st.integers(2, 30), min_size=1, max_size=2),
-                                 label="moduli"))
-        m = data.draw(st.integers(1, 5), label="m")
-        rows = tuple(data.draw(st.tuples(*[st.integers(0, n - 1)] * m), label=f"row mod {n}")
-                     for n in moduli)
-        L = from_congruences(CongruenceSystem(moduli, rows))
+        L = draw_walkable_lattice(data)
         assert list(geomnum._refined(L)) == list(oracles.refined_reference(L))
 
 
@@ -520,12 +539,7 @@ class TestCompletionAgainstReference:
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_drawn_one_and_two_row_systems(self, data):
-        moduli = tuple(data.draw(st.lists(st.integers(2, 30), min_size=1, max_size=2),
-                                 label="moduli"))
-        m = data.draw(st.integers(1, 5), label="m")
-        rows = tuple(data.draw(st.tuples(*[st.integers(0, n - 1)] * m), label=f"row mod {n}")
-                     for n in moduli)
-        assert completion_mismatches(from_congruences(CongruenceSystem(moduli, rows))) == []
+        assert completion_mismatches(draw_walkable_lattice(data)) == []
 
 
 class TestRefinementWork:
