@@ -81,8 +81,6 @@ def parse_range(text, flag):
             out.extend(range(lo, hi + 1))
         else:
             out.append(integer(part))
-    if not out:
-        raise ValueError(f"{flag} is empty")
     return out
 
 
