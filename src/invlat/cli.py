@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from functools import cache, partial
 from typing import NamedTuple
 
@@ -26,12 +26,13 @@ BOUND_FUNCS = {"dspan": dspan, "bfield": bfield, "bfieldr": bfieldr}
 
 
 class Result(NamedTuple):
-    """What a command computed, in every output form: the json payload, the
-    csv header and rows, the pretty lines (any iterable, so a generator
-    builds them only when they are written), and the violations a
-    verification suite found."""
+    """What a command computed, in every output form: the json payload (a
+    dict, or a zero-argument callable that builds it only when json is
+    written), the csv header and rows, the pretty lines (any iterable, so a
+    generator builds them only when they are written), and the violations
+    a verification suite found."""
 
-    payload: dict
+    payload: dict | Callable[[], dict]
     header: list
     rows: list
     pretty: Iterable
@@ -42,7 +43,8 @@ def emit(result, fmt, out):
     """Write result in format fmt to out and each violation to stderr; the
     exit code is 1 when there are violations, else 0."""
     if fmt == "json":
-        out.write(json.dumps(result.payload) + "\n")
+        payload = result.payload
+        out.write(json.dumps(payload() if callable(payload) else payload) + "\n")
     elif fmt == "csv":
         # None is an empty cell
         for row in [result.header] + result.rows:
@@ -210,7 +212,11 @@ def cmd_bounds(args):
         if w in which[:j]:
             raise ValueError(f"repeated bound {w!r}")
     reports = {w: BOUND_FUNCS[w](L, cap=args.cap) for w in which}
-    bounds = {w: reports[w].to_jsonable() for w in which}
+
+    def payload():
+        # only json output converts the witnesses, one per coset for dspan
+        return {"input": system.to_jsonable(), "index": L.index,
+                "bounds": {w: reports[w].to_jsonable() for w in which}}
 
     def pretty():
         # a generator: the per-coset lines are built only for pretty output
@@ -219,11 +225,10 @@ def cmd_bounds(args):
             rep = reports[w]
             yield f"{w} = {rep.value}  [cap {rep.search_cap}]"
             if w == "dspan":
-                for lab, v in bounds[w]["witnesses"].items():
-                    yield f"  label {lab}: {vec_str(v)}"
+                for key, v in rep.witnesses.items():
+                    yield f"  label {','.join(map(str, key))}: {vec_str(v)}"
             else:
                 yield "  witnesses: " + " ".join(vec_str(v) for v in rep.witnesses)
-    payload = {"input": system.to_jsonable(), "index": L.index, "bounds": bounds}
     rows = [(w, reports[w].value, L.index, reports[w].search_cap) for w in which]
     return Result(payload, ["which", "value", "index", "search_cap"], rows, pretty())
 

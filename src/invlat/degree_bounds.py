@@ -12,6 +12,10 @@ Values are exact, not bounds; witnesses are deterministic, the first hit in
 shell-then-lexicographic order.  bfield and bfieldr walk the lattice members
 of each shell directly, in that same order, through one ball_enum.shell_walker
 per search, which keeps the suffixes it solves from shell to shell.
+A walked member grows the accumulator iff it is not in it, a reduction over
+m rows, until a shell leaves the accumulator at rank m - 1 and saturated,
+equal to L ∩ ker f for the primitive form f that vanishes on it; from then
+until the next add, f . v != 0 decides, one dot product per member.
 dspan is a breadth-first search over the coset labels of L.presentation,
 one layer per norm, whose witnesses are the minimal-norm, lex-least
 representatives: the points a walk of the nonnegative shells would hit first.
@@ -24,6 +28,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import islice
+from math import gcd, prod
+from operator import mul
 
 from .ball_enum import shell_walker
 from .lattice_core import GeneratedLattice
@@ -165,18 +171,61 @@ def _generation_search(L, mode, which, cap):
 
     Returns at the add that completes it, mid-shell: every later member of
     the shell already lies in the accumulator, so none could be a witness.
+    While a shell's end left the accumulator saturated at rank m - 1,
+    _saturated_form's f tests each member with one dot product instead of
+    a reduction; the next add drops f.
     """
     acc = GeneratedLattice(L.dimension)
     witnesses = []
     walk = shell_walker(L, mode)
+    form = None
     for d in range(cap + 1):
+        grew = False
         for v in walk(d):
-            if v not in acc:
+            if (v not in acc) if form is None else sum(map(mul, form, v)) != 0:
                 acc.add(v)
                 witnesses.append(v)
                 if acc.index == L.index:
                     return DegreeBoundReport(which, d, tuple(witnesses), L.index, cap)
+                form, grew = None, True
+        if grew and acc.rank == L.dimension - 1:
+            form = _saturated_form(acc, L)
     raise CapExceededError(which, cap)
+
+
+def _saturated_form(acc, L):
+    """The primitive form f vanishing on acc, a GeneratedLattice of rank
+    m - 1, if acc is all of L ∩ ker f; None otherwise.
+
+    s is the one row without a pivot.  Every column right of it is zero
+    above its positive pivot, so f vanishes on them only if f_k = 0 for
+    k > s; the columns left of it then fix f_{s-1} .. f_0 in turn from
+    f_s, by back-substitution kept integral and made primitive at the end
+    (f_s stays positive).
+    acc has index P / |f_s| in Z^m ∩ ker f, P the product of its pivots
+    (dropping row s maps Z^m ∩ ker f onto the y with f_s | f . y), and
+    0 -> (Z^m ∩ ker f)/(L ∩ ker f) -> Z^m/L -> Z/f(L) -> 0 gives
+    L ∩ ker f index L.index / g there, g the gcd of f over L.  So acc is
+    L ∩ ker f iff (P / |f_s|) * g == L.index.
+    """
+    cols = acc.columns
+    s = cols.index(None)
+    f = [0] * len(cols)
+    f[s] = 1
+    for j in range(s - 1, -1, -1):
+        col = cols[j]
+        t = sum(f[k] * col[k] for k in range(j + 1, s + 1))
+        p = col[j]
+        scale = p // gcd(t, p)
+        if scale != 1:
+            f = [x * scale for x in f]
+            t *= scale
+        f[j] = -t // p
+    c = gcd(*f)
+    f = [x // c for x in f]
+    pivots = prod(col[j] for j, col in enumerate(cols) if col is not None)
+    g = gcd(*[sum(map(mul, f, col)) for col in L.columns])
+    return f if pivots // f[s] * g == L.index else None
 
 
 def bfield(L, cap=None) -> DegreeBoundReport:

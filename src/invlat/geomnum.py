@@ -17,6 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .ball_enum import shell_walker
 from .degree_bounds import CapExceededError
@@ -69,7 +70,7 @@ def _minima(L, cap):
     walk = shell_walker(L, "half")
     for d in range(1, cap + 1):
         for v in walk(d):
-            a = [sum(c * x for c, x in zip(f, v)) for f in forms]
+            a = [sum(map(mul, f, v)) for f in forms]
             if not any(a):
                 continue
             yield d, v

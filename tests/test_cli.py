@@ -16,9 +16,11 @@ from invlat import cli, geomnum
 from invlat.cli import build_parser, main, parse_construct, parse_range
 from invlat.parallel import worker_count
 from invlat.constructions import CounterexampleReport, SharpCaseSpec, counterexample_check
+from invlat.degree_bounds import DegreeBoundReport
 
 MOD4 = '{"moduli":[4],"coefficients":[[1,3]]}'
 MOD5 = '{"moduli":[5],"coefficients":[[1,4]]}'
+TWO_ROWS = '{"moduli":[4,6],"coefficients":[[1,3,0],[0,1,5]]}'
 
 SCHEMA_DIR = Path(invlat.__file__).parent / "schemas"
 
@@ -115,6 +117,28 @@ class TestBounds:
         assert "index 4, dimension 2" in text
         assert "dspan = 2  [cap 3]" in text
         assert "label 0: (0,0)" in text
+
+    def test_only_json_converts_witnesses(self, monkeypatch):
+        # csv and pretty print no converted witness: on a large index the
+        # conversion of one witness per coset costs as much as dspan itself
+        calls = []
+        to_jsonable = DegreeBoundReport.to_jsonable
+
+        def counting(rep):
+            calls.append(rep.which)
+            return to_jsonable(rep)
+
+        monkeypatch.setattr(DegreeBoundReport, "to_jsonable", counting)
+        texts = {}
+        for fmt, converted in (("csv", []), ("pretty", []),
+                               ("json", ["dspan", "bfield", "bfieldr"])):
+            calls.clear()
+            code, texts[fmt] = run(["bounds", "--congruence", TWO_ROWS, "-f", fmt])
+            assert code == 0 and calls == converted, fmt
+        # pretty reads the reports directly, in the json's label order
+        dspan_wit = json.loads(texts["json"])["bounds"]["dspan"]["witnesses"]
+        assert [line for line in texts["pretty"].splitlines() if "label" in line] == \
+            [f"  label {k}: {cli.vec_str(v)}" for k, v in dspan_wit.items()]
 
     def test_input_file_equivalent(self, tmp_path):
         path = tmp_path / "system.json"

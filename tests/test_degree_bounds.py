@@ -443,6 +443,157 @@ class TestSplitWalkSearches:
             assert generation_outcome(fast, L, None) == generation_outcome(slow, L, None)
 
 
+def record_form_tests(monkeypatch):
+    """Spy on the two membership tests of a generation search.  Returns the
+    event list: ("form", f or None) per _saturated_form call and ("reduce",
+    rank) per triangular_reduce, rank the accumulator's (None on L)."""
+    events = []
+    saturated_form, reduce = degree_bounds._saturated_form, lattice_core.triangular_reduce
+
+    def form(acc, L):
+        f = saturated_form(acc, L)
+        events.append(("form", f))
+        return f
+
+    def counted(basis, v):
+        events.append(("reduce", getattr(basis, "rank", None)))
+        return reduce(basis, v)
+
+    monkeypatch.setattr(degree_bounds, "_saturated_form", form)
+    monkeypatch.setattr(lattice_core, "triangular_reduce", counted)
+    return events
+
+
+def saturated_reference(acc, L):
+    """The primitive form vanishing on acc (rank m - 1), from integer_kernel,
+    and whether acc is all of L ∩ ker f, by comparing Hermite forms."""
+    m = L.dimension
+    cols = [c for c in acc.columns if c is not None]
+    (f,) = lattice_core.integer_kernel(cols, m)
+    # L ∩ ker f is B c over the c with (f B) c = 0, B the columns of L
+    fb = [sum(a * x for a, x in zip(f, col)) for col in L.columns]
+    meet = [tuple(sum(t * col[r] for t, col in zip(c, L.columns)) for r in range(m))
+            for c in lattice_core.integer_kernel([fb], m)]
+    return f, lattice_core.hnf_columns(meet, m) == lattice_core.hnf_columns(cols, m)
+
+
+def assert_form_agrees(got, acc, L):
+    """got, what _saturated_form returned on acc, against the reference."""
+    f, saturated = saturated_reference(acc, L)
+    if saturated:
+        assert got is not None and tuple(got) in (f, tuple(-x for x in f)), (L, got, f)
+    else:
+        assert got is None, (L, got, f)
+
+
+# one-row systems whose rank-(m - 1) accumulator is not L ∩ ker f in the
+# bfield search, so the members after it are still tested by reduction
+UNSATURATED_ROWS = [CongruenceSystem((n,), (row,)) for n, row in (
+    (38, (16, 3, 20, 1, 5)), (30, (21, 1, 15, 16)), (39, (8, 37, 20, 36)),
+    (24, (16, 13, 5, 4, 18)), (50, (23, 42, 32, 33, 40)))]
+
+
+class TestSaturatedForm:
+    """Past rank m - 1 the searches test members with one dot product only
+    while the accumulator is saturated; elsewhere they reduce, and they
+    report what the whole-shell search reports either way."""
+
+    REFERENCES = TestAgainstShellSearch.REFERENCES
+
+    @pytest.mark.parametrize("system", UNSATURATED_ROWS, ids=str)
+    def test_unsaturated_accumulators_fall_back(self, monkeypatch, system):
+        L = from_congruences(system)
+        m = L.dimension
+        reference = [generation_outcome(slow, L, None) for _, slow in self.REFERENCES]
+        events = record_form_tests(monkeypatch)
+        assert [generation_outcome(fast, L, None) for fast, _ in self.REFERENCES] == reference
+        # some shell ended with an unsaturated accumulator, and the members
+        # after it were reduced at rank m - 1
+        first = events.index(("form", None))
+        assert ("reduce", m - 1) in events[first:]
+
+    @staticmethod
+    def draw_lattice(data):
+        """A two-row system (m 1..4, moduli up to 12) or a bare basis (m 1..3,
+        index up to 100); None for dependent generators or a larger index."""
+        if data.draw(st.booleans(), label="bare basis"):
+            m = data.draw(st.integers(1, 3), label="m")
+            gens = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=m, max_size=m),
+                                      min_size=m, max_size=m), label="generators")
+            try:
+                L = LatticeBasis.from_generators(gens, m)
+            except ValueError:
+                return None
+            return L if L.index <= 100 else None
+        m = data.draw(st.integers(1, 4), label="m")
+        moduli = tuple(data.draw(st.lists(st.integers(2, 12), min_size=2, max_size=2),
+                                 label="moduli"))
+        rows = tuple(
+            tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m),
+                            label="row"))
+            for n in moduli)
+        return from_congruences(CongruenceSystem(moduli, rows))
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(st.data())
+    def test_property(self, data):
+        L = self.draw_lattice(data)
+        if L is None:
+            return
+        cap = data.draw(st.one_of(st.none(), st.integers(0, 6)), label="cap")
+        reference = [generation_outcome(slow, L, cap) for _, slow in self.REFERENCES]
+        saturated_form = degree_bounds._saturated_form
+
+        def checked(acc, L):
+            got = saturated_form(acc, L)
+            assert_form_agrees(got, acc, L)
+            return got
+
+        degree_bounds._saturated_form = checked
+        try:
+            got = [generation_outcome(fast, L, cap) for fast, _ in self.REFERENCES]
+        finally:
+            degree_bounds._saturated_form = saturated_form
+        assert got == reference, (L, cap)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(st.data())
+    def test_form_of_drawn_members(self, data):
+        # m - 1 drawn members of L, many of them spanning an unsaturated
+        # sublattice of their hyperplane, against the kernel reference
+        L = self.draw_lattice(data)
+        if L is None:
+            return
+        m = L.dimension
+        acc = GeneratedLattice(m)
+        for _ in range(m - 1):
+            coefs = data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m),
+                              label="coordinates")
+            acc.add([sum(c * col[r] for c, col in zip(coefs, L.columns)) for r in range(m)])
+        if acc.rank == m - 1:
+            assert_form_agrees(degree_bounds._saturated_form(acc, L), acc, L)
+
+    @pytest.mark.parametrize("spec, limits", [
+        # with a reduction per walked member: 112 / 694, 96 / 798, 4,024 / 18,701
+        (SharpCaseSpec(31, 5, 1), (5, 8)),
+        (SharpCaseSpec(23, 6), (8, 17)),
+        (SharpCaseSpec(101, 4), (5, 8)),
+    ], ids=str)
+    def test_reductions_per_search(self, monkeypatch, spec, limits):
+        # timing-free work gate: on the sharp lattices every rank-(m - 1)
+        # accumulator is saturated, so only the members walked before it
+        # are reduced
+        L = from_congruences(sharp_case_lattice(spec))
+        events = record_form_tests(monkeypatch)
+        counts = []
+        for search in (bfield, bfieldr):
+            events.clear()
+            search(L)
+            counts.append(sum(e[0] == "reduce" for e in events))
+            assert ("form", None) not in events
+        assert all(c <= limit for c, limit in zip(counts, limits)), (counts, limits)
+
+
 class TestRelations:
     def test_examples(self):
         ok, values = verify_bound_relations(kernel(4, (1, 3)))
