@@ -16,6 +16,9 @@ A walked member grows the accumulator iff it is not in it, a reduction over
 m rows, until a shell leaves the accumulator at rank m - 1 and saturated,
 equal to L ∩ ker f for the primitive form f that vanishes on it; from then
 until the next add, f . v != 0 decides, one dot product per member.
+A v in L has g | f . v, g the gcd of f over L, so no shell below
+r = ceil(g / max |f_i|) holds a new witness and none is walked (nor in
+successive_minima): on the sharp lattices, shells 0..3, then r, the answer.
 dspan is a breadth-first search over the coset labels of L.presentation,
 one layer per norm, whose witnesses are the minimal-norm, lex-least
 representatives: the points a walk of the nonnegative shells would hit first.
@@ -173,13 +176,14 @@ def _generation_search(L, mode, which, cap):
     the shell already lies in the accumulator, so none could be a witness.
     While a shell's end left the accumulator saturated at rank m - 1,
     _saturated_form's f tests each member with one dot product instead of
-    a reduction; the next add drops f.
+    a reduction; the next add drops f.  While f is kept, no shell below
+    r = _off_form_radius(f, L) holds a witness: the next is max(d + 1, r).
     """
     acc = GeneratedLattice(L.dimension)
     witnesses = []
     walk = shell_walker(L, mode)
-    form = None
-    for d in range(cap + 1):
+    form, d = None, 0
+    while d <= cap:
         grew = False
         for v in walk(d):
             if (v not in acc) if form is None else sum(map(mul, form, v)) != 0:
@@ -190,7 +194,15 @@ def _generation_search(L, mode, which, cap):
                 form, grew = None, True
         if grew and acc.rank == L.dimension - 1:
             form = _saturated_form(acc, L)
+        d = max(d + 1, _off_form_radius(form, L)) if form else d + 1
     raise CapExceededError(which, cap)
+
+
+def _off_form_radius(f, L):
+    """ceil(g / max |f_i|), g the gcd of f over L.columns: a v in L with
+    f . v != 0 has g <= |f . v| <= max |f_i| * ||v||_1, so norm >= it."""
+    g = gcd(*[sum(map(mul, f, col)) for col in L.columns])
+    return -(-g // max(map(abs, f)))
 
 
 def _saturated_form(acc, L):

@@ -291,17 +291,19 @@ def sharp_lattice(p, m):
 
 
 @pytest.mark.parametrize("search, limit", [
-    (degree_bounds.bfield, (220, 380)),
-    (degree_bounds.bfieldr, (270, 230)),
-    (geomnum.successive_minima, (270, 230)),
+    (degree_bounds.bfield, (10, 65)),
+    (degree_bounds.bfieldr, (256, 220)),
+    (geomnum.successive_minima, (256, 219)),
 ])
 def test_split_walk_solves_each_key_once(monkeypatch, search, limit):
-    # Work gate on one sharp (23, 6) search, up to radius 8: each table key
-    # is solved once for the whole search, so the pair solves are the pair
-    # table's keys plus one per prefix of the first shells, which stream.
-    # Pinned at 212 keys and 371 solves for bfield, 264 and 224 for the
-    # half searches; the walker whose keys lived for one shell made 453,
-    # 528 and 527 solves, the streaming walk alone 794, 4169 and 4168.
+    # Work gate on one sharp (23, 6) search, which walks shells 0..3 and
+    # then 8, the answer: each table key is solved once for the whole
+    # search, so the pair solves are the pair table's keys plus one per
+    # prefix of the first shells, which stream.  Pinned at 10 keys and 65
+    # solves for bfield, 256 and 220 for bfieldr and 256 and 219 for the
+    # minima.  Walking every shell up to 8 made 212 / 371, 264 / 224 and
+    # 264 / 223; the walker whose keys lived for one shell made 453, 528
+    # and 527 solves, the streaming walk alone 794, 4169 and 4168.
     L = sharp_lattice(23, 6)
     walkers = []
 

@@ -185,6 +185,30 @@ class TestBounds:
                     "--which", "dspan", "--cap", "0", "-f", "csv"]) == \
             (0, "which,value,index,search_cap\ndspan,0,1,0\n")
 
+    def test_cap_at_the_skip_radius(self, capsys):
+        # sharp (101, 4): bfield = bfieldr = lambda_4 = 51, and every search
+        # jumps from shell 3 straight to 51, so cap 50 still runs out and
+        # cap 51 prints the answer
+        sharp = ["--construct", "sharp:p=101,m=4"]
+        for argv, which in ((["minima"], "successive_minima"),
+                            (["bounds", "--which", "bfield,bfieldr"], "bfield")):
+            assert run(argv + sharp + ["--cap", "50"]) == (3, "")
+            assert capsys.readouterr().err == f"cap exceeded while computing {which} (cap 50)\n"
+        assert run(["minima", *sharp, "--cap", "51"]) == (0, (
+            "index 101, dimension 4\n"
+            "lambda_1 = 2  witness (-1,-1,0,0)\n"
+            "lambda_2 = 2  witness (0,0,-1,-1)\n"
+            "lambda_3 = 3  witness (-2,0,0,-1)\n"
+            "lambda_4 = 51  witness (-1,0,-50,0)\n"
+            "minkowski: product 612 <= 2424 ok\n"))
+        assert run(["bounds", "--which", "bfield,bfieldr", *sharp, "--cap", "51"]) == (0, (
+            "index 101, dimension 4, moduli [101]\n"
+            "bfield = 51  [cap 51]\n"
+            "  witnesses: (0,0,1,1) (1,1,0,0) (0,2,1,0) (0,1,0,50)\n"
+            "bfieldr = 51  [cap 51]\n"
+            "  witnesses: (-1,-1,0,0) (0,0,-1,-1) (-2,0,0,-1) (-1,0,-50,0)\n"))
+        assert capsys.readouterr().err == ""
+
     def test_internal_error_exit_code(self, capsys, monkeypatch):
         # A failed internal invariant exits 4, apart from 1 (violations found)
         # and 2 (bad input). A determinant form that is zero everywhere makes

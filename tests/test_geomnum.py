@@ -2,14 +2,17 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from math import factorial
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from invlat import geomnum, lattice_core
-from invlat.constructions import SharpCaseSpec, is_prime, sharp_case_lattice
-from invlat.degree_bounds import CapExceededError, bfield
+from invlat import degree_bounds, geomnum, lattice_core
+from invlat.ball_enum import ball_count, shell_walker
+from invlat.constructions import SharpCaseSpec, conjecture_bound, is_prime, sharp_case_lattice
+from invlat.degree_bounds import CapExceededError, bfield, bfieldr
 from invlat.geomnum import (
     DependentInputError,
     NoSolutionError,
@@ -37,7 +40,14 @@ from invlat.sampling import random_congruence_systems
 
 import oracles
 from oracles import lattice_shell_points
-from test_degree_bounds import SPLIT_SYSTEMS, filtered_shell, seeded_systems
+from test_degree_bounds import (
+    SPLIT_SYSTEMS,
+    UNSATURATED_ROWS,
+    filtered_shell,
+    generation_outcome,
+    seeded_systems,
+    shell_generation_search,
+)
 
 
 def kernel(n, row):
@@ -162,6 +172,126 @@ class TestSuccessiveMinima:
             for i, lam in enumerate(sm.values, start=1):
                 below = [p for p in oracles.members_up_to(system, lam - 1)]
                 assert oracles.rank_of(below) < i if below else True
+
+
+def record_shells(mp):
+    """Spy, through the MonkeyPatch mp, on the shells the searches walk and
+    the radii they skip to.  Returns the event list: ("shell", d) per
+    walk(d) and ("skip", f, r) per _off_form_radius call."""
+    events = []
+    radius = degree_bounds._off_form_radius
+
+    def walker(L, mode):
+        walk = shell_walker(L, mode)
+
+        def walked(d):
+            events.append(("shell", d))
+            return walk(d)
+        return walked
+
+    def skip(f, L):
+        r = radius(f, L)
+        events.append(("skip", tuple(f), r))
+        return r
+
+    for module in (degree_bounds, geomnum):
+        mp.setattr(module, "shell_walker", walker)
+        mp.setattr(module, "_off_form_radius", skip)
+    return events
+
+
+# The references walk every member of the whole all-orthant ball up to the
+# answer shell through filtered_shell, and the lemma check the ball below
+# each skip radius, so draws whose ball holds more points than this are
+# rejected (about 1 in 60).  Of the sharp rows this leaves out m = 6 mod
+# 29 and 31 and m = 4..6 mod 37 and up; the work gate runs (101, 4).
+OFF_FORM_BUDGET = 60_000
+
+# one-row systems the property draws besides random rows: the rows whose
+# rank-(m - 1) bfield accumulator is unsaturated, and the sharp rows mod
+# primes below 60 within the budget, whose every skip lands on the answer
+SKIP_SYSTEMS = UNSATURATED_ROWS + [
+    sharp_case_lattice(SharpCaseSpec(p, m, miss))
+    for p in range(3, 60) if is_prime(p) for m in range(1, min(p, 7))
+    for miss in ([None] if m % 2 == 0 else [1, -1])
+    if ball_count(m, conjecture_bound(p, m)) <= OFF_FORM_BUDGET]
+
+
+class TestOffFormSkip:
+    """Once bfield/bfieldr hold a saturated form f, or successive_minima is
+    down to one span form f, a member v with f . v != 0 has norm at least
+    r = _off_form_radius(f, L), and the search walks no shell below r."""
+
+    @pytest.mark.parametrize("spec, value", [
+        (SharpCaseSpec(101, 4), 51), (SharpCaseSpec(31, 5, 1), 11), (SharpCaseSpec(23, 6), 8),
+    ], ids=str)
+    def test_shells_walked(self, monkeypatch, spec, value):
+        # timing-free work gate: on the sharp lattices r is the answer, so
+        # each search walks its first shells, up to rank m - 1, then jumps;
+        # walking every shell up to the answer took value + 1 shells
+        L = from_congruences(sharp_case_lattice(spec))
+        events = record_shells(monkeypatch)
+        walked = {}
+        for search in (bfield, bfieldr, successive_minima):
+            events.clear()
+            search(L)
+            walked[search.__name__] = [e[1] for e in events if e[0] == "shell"]
+        assert walked == {"bfield": [0, 1, 2, 3, value], "bfieldr": [0, 1, 2, 3, value],
+                          "successive_minima": [1, 2, 3, value]}
+
+    SEARCHES = (
+        (bfield, partial(shell_generation_search, mode="nonnegative", which="bfield",
+                         walk=filtered_shell), generation_outcome),
+        (bfieldr, partial(shell_generation_search, mode="all", which="bfieldr",
+                          walk=filtered_shell), generation_outcome),
+        (successive_minima, partial(rank_successive_minima, walk=filtered_shell),
+         minima_outcome),
+    )
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.data())
+    def test_skipped_shells_and_searches_against_references(self, data):
+        if data.draw(st.booleans(), label="listed"):
+            system = data.draw(st.sampled_from(SKIP_SYSTEMS), label="system")
+        else:
+            m = data.draw(st.integers(1, 6), label="m")
+            n = data.draw(st.integers(2, 60), label="n")
+            system = CongruenceSystem((n,), (data.draw(
+                st.tuples(*[st.integers(0, n - 1)] * m), label="row"),))
+        L = from_congruences(system)
+        m = L.dimension
+        runs, answers = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            events = record_shells(mp)
+            for fast, _, _ in self.SEARCHES:
+                events.clear()
+                got = fast(L)
+                answers.append(got.values[-1] if fast is successive_minima else got.value)
+                runs.append(list(events))
+        assume(ball_count(m, max(answers)) <= OFF_FORM_BUDGET)
+        # every jump lands on the radius of the form held, and no member of
+        # a shell below it is off that form
+        skips = set()
+        for run in runs:
+            walked = [e[1] for e in run if e[0] == "shell"]
+            for d, nxt in zip(walked, walked[1:]):
+                if nxt > d + 1:
+                    last = run[:run.index(("shell", nxt))]
+                    assert [e[2] for e in last if e[0] == "skip"][-1] == nxt, (system, run)
+            skips.update((e[1], e[2]) for e in run if e[0] == "skip")
+        shells = [filtered_shell(L, d, "all") for d in range(max((r for _, r in skips), default=0))]
+        for f, r in skips:
+            assert not any(sum(map(mul, f, v)) for shell in shells[:r] for v in shell), \
+                (system, f, r)
+        # each search against its whole-shell reference, with the cap just
+        # below, at and without its last skip radius (its answer if none)
+        for (fast, slow, outcome), run, answer in zip(self.SEARCHES, runs, answers):
+            r = ([e[2] for e in run if e[0] == "skip"] or [answer])[-1]
+            cap = data.draw(st.sampled_from((r - 1, r, None)), label=f"{fast.__name__} cap")
+            assert outcome(fast, L, cap) == outcome(slow, L, cap), (system, cap)
+        # the box oracle re-enumerates the ball at every radius: small cases
+        if sum((2 * d + 1) ** m for d in range(1, answers[2] + 1)) <= 5_000:
+            assert list(successive_minima(L).values) == oracles.oracle_minima(system)
 
 
 class TestMinkowski:
