@@ -22,6 +22,16 @@ order, so a search that only asks whether v grows what it has seen loses
 nothing by skipping v.  shell_points followed by `v in L` (and, for the
 half, by the sign of the first nonzero coordinate) stays as the slow
 reference it must agree with.
+
+A search that holds a form f, and only asks for the members off ker f,
+passes (f, g) to walk, g the gcd of f over L, which divides f . v for every
+member v.  A prefix v_0 .. v_{i-1} with s = f_0 v_0 + .. + f_{i-1} v_{i-1}
+and budget b completes only to |f . v| <= |s| + b * max_{k >= i} |f_k|, so
+where that is below g every completion has f . v = 0 and the prefix is
+dropped: the depth-first prune of Fincke-Pohst.  The pruned walk streams:
+the suffix tables would key suffixes that the prune never reaches.
+At the root (s = 0, b = radius) the test is the searches' skip of the
+shells below ceil(g / max |f_i|).
 """
 
 from __future__ import annotations
@@ -105,13 +115,21 @@ def trailing_pairs(progressions, D, b, cx, cy, free):
 
 
 def shell_walker(L, mode="all"):
-    """Return walk(radius), the members of L with l1norm == radius, sorted.
+    """Return walk(radius, form=None), the members of L with l1norm ==
+    radius, sorted.
 
     walk(d) is exactly [v for v in shell_points(L.dimension, d, mode) if v in
     L], without visiting the non-members; mode "half" keeps of the "all"
     shell only the members whose first nonzero coordinate is negative.  One
     walker serves one search: the suffixes it solves on one shell are kept
     for every later shell it walks.
+
+    walk(d, (f, g)), g the gcd of the form f over L.columns, drops the
+    prefixes that cannot leave ker f (see the module docstring): it yields,
+    in the same order, a subsequence of walk(d) that holds every member v
+    with f . v != 0.  It always streams, carrying f . prefix next to the
+    Hermite carry, and tests the bound at every prefix coordinate, the
+    last one fused with the pair included; m <= 2 ignores the form.
 
     The streaming walk carries the Hermite reduction of each coordinate
     prefix down the recursion.  L.columns is lower triangular, so coordinate
@@ -155,7 +173,7 @@ def shell_walker(L, mode="all"):
     half = mode == "half"
 
     if m == 1:
-        def walk(radius):
+        def walk(radius, form=None):
             _check_shell_args(m, radius, mode, LATTICE_MODES)
             if radius % cols[0][0] == 0:
                 if radius == 0:
@@ -184,30 +202,38 @@ def shell_walker(L, mode="all"):
         inverse = pow(alpha // g, -1, period)
         progressions.append((sx, sy, g, period, inverse, D * period))
 
-    def stream(prefix, i, budget, carry, free):
+    def stream(prefix, i, budget, carry, free, s, prune):
         col = cols[i]
         d = col[i]
         lo = 0 if nonneg else -budget
         start = lo + (carry[0] - lo) % d
         q = (start - carry[0]) // d
         stop = (0 if free else budget) + 1
+        if prune:
+            # s is f . prefix; the prefix extended by first is dropped when
+            # |s + f_i first| + (budget - |first|) * tops[i + 1] < g
+            f, tops, g = prune
+            fi, top = f[i], tops[i + 1]
         if i == m - 3:
             # the last prefix coordinate: step only the pair's carries
             tx, ty = col[m - 2], col[m - 1]
             cx, cy = carry[1] + q * tx, carry[2] + q * ty
             for first in range(start, stop, d):
-                hits = trailing_pairs(progressions, D, budget - abs(first), cx, cy,
-                                      free and first == 0)
-                if hits:
-                    yield from map((prefix + (first,)).__add__, hits)
+                b = budget - abs(first)
+                if not prune or abs(s + fi * first) + b * top >= g:
+                    hits = trailing_pairs(progressions, D, b, cx, cy, free and first == 0)
+                    if hits:
+                        yield from map((prefix + (first,)).__add__, hits)
                 cx += tx
                 cy += ty
             return
         tail = col[i + 1:]
         nxt = [c + q * t for c, t in zip(carry[1:], tail)]
         for first in range(start, stop, d):
-            yield from stream(prefix + (first,), i + 1, budget - abs(first), nxt,
-                              free and first == 0)
+            b = budget - abs(first)
+            if not prune or abs(s + fi * first) + b * top >= g:
+                yield from stream(prefix + (first,), i + 1, b, nxt, free and first == 0,
+                                  s + fi * first if prune else 0, prune)
             nxt = [c + t for c, t in zip(nxt, tail)]
 
     P = m - m // 2
@@ -261,14 +287,21 @@ def shell_walker(L, mode="all"):
             return trailing_pairs(progressions, D, b, q * ux, q * uy, free) or ()
         return list(split((), j, b, label, free)) or ()
 
-    def walk(radius):
+    def walk(radius, form=None):
         _check_shell_args(m, radius, mode, LATTICE_MODES)
         if m == 2:
             yield from trailing_pairs(progressions, D, radius, 0, 0, half)
+        elif form is not None:
+            f, g = form
+            tops = [0] * (m + 1)
+            for i in reversed(range(m)):
+                tops[i] = max(tops[i + 1], abs(f[i]))
+            if radius * tops[0] >= g:
+                yield from stream((), 0, radius, [0] * m, half, 0, (f, tops, g))
         elif memo is not None and ball_count(P + 1, radius, mode) >= (radius + 1) * L.index:
             yield from split((), 0, radius, 0, half)
         else:
-            yield from stream((), 0, radius, [0] * m, half)
+            yield from stream((), 0, radius, [0] * m, half, 0, None)
 
     walk.memo = memo
     return walk

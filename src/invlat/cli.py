@@ -410,11 +410,13 @@ def _sharp_case(spec):
 
 def _verify_sharp(args, jobs):
     primes, ms = parse_range(args.primes, "--primes"), parse_range(args.m, "--m")
+    at_least("--m", min(ms), 1)
+    # the sharp family is defined for odd primes only
+    primes = [p for p in primes if p != 2 and constructions.is_prime(p)]
+    if not primes:
+        raise ValueError(f"--primes has no odd prime in {args.primes}")
     specs = []
     for p in primes:
-        # the sharp family is defined for odd primes only
-        if p == 2 or not constructions.is_prime(p):
-            continue
         for m in ms:
             if m >= p:
                 continue

@@ -20,7 +20,7 @@ from fractions import Fraction
 from operator import mul
 
 from .ball_enum import shell_walker
-from .degree_bounds import CapExceededError, _off_form_radius
+from .degree_bounds import CapExceededError, _form_gcd, _off_form_radius
 from .lattice_core import InternalError, _gcd_step, is_generating, l1norm
 
 
@@ -53,7 +53,8 @@ def successive_minima(L, cap=None) -> SuccessiveMinima:
     the first index with a_p != 0, they become a_p f_j - a_j f_p for every
     j != p, each divided by its content.  At rank m - 1 the one form left
     is the determinant form up to its content, and the shell after d is
-    then max(d + 1, degree_bounds._off_form_radius(f, L)).  Only half of
+    then max(d + 1, degree_bounds._off_form_radius(f, L)), walked with the
+    prefixes that cannot leave ker f pruned (ball_enum).  Only half of
     each shell is walked: -v spans what v spans and comes first.  index *
     e_i always lies in L, which makes index a safe default cap.
     """
@@ -69,9 +70,9 @@ def _minima(L, cap):
     m = L.dimension
     forms = [tuple(1 if k == j else 0 for k in range(m)) for j in range(m)]
     walk = shell_walker(L, "half")
-    d = 1
+    held, d = None, 1
     while d <= cap:
-        for v in walk(d):
+        for v in walk(d, held):
             a = [sum(map(mul, f, v)) for f in forms]
             if not any(a):
                 continue
@@ -79,7 +80,11 @@ def _minima(L, cap):
             if len(forms) == 1:
                 return
             forms = _narrow(forms, a)
-        d = max(d + 1, _off_form_radius(forms[0], L)) if len(forms) == 1 else d + 1
+        if len(forms) == 1:
+            held = forms[0], _form_gcd(forms[0], L)
+            d = max(d + 1, _off_form_radius(forms[0], L))
+        else:
+            d += 1
     raise CapExceededError("successive_minima", cap)
 
 

@@ -1,9 +1,10 @@
 import random
 import tracemalloc
-from math import comb
+from math import comb, gcd
+from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from invlat import ball_enum, degree_bounds, geomnum
 from invlat.ball_enum import (
@@ -191,6 +192,20 @@ def test_lattice_shell_points_trailing_block_with_offset():
             assert_walker_matches_references(system, 7 if m < 5 else 5)
 
 
+def counting_solves(monkeypatch):
+    """Count the trailing_pairs calls through the MonkeyPatch; returns a
+    one-item list holding the count."""
+    solve = ball_enum.trailing_pairs
+    solves = [0]
+
+    def counting(*args):
+        solves[0] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(ball_enum, "trailing_pairs", counting)
+    return solves
+
+
 @pytest.mark.parametrize("p, m, radius, modes", [
     (53, 6, 18, ("half",)),
     (23, 6, 8, LATTICE_MODES),
@@ -202,19 +217,11 @@ def test_pair_solves_once_per_budget_and_residue(monkeypatch, p, m, radius, mode
     # once per prefix (39,445 prefixes on the (53, 6) radius-18 half).
     L = from_congruences(sharp_case_lattice(SharpCaseSpec(p, m)))
     D, _, E = trailing_block(L)
-    solve = ball_enum.trailing_pairs
-    solves = 0
-
-    def counting(*args):
-        nonlocal solves
-        solves += 1
-        return solve(*args)
-
-    monkeypatch.setattr(ball_enum, "trailing_pairs", counting)
+    solves = counting_solves(monkeypatch)
     for mode in modes:
-        solves = 0
+        solves[0] = 0
         got = list(lattice_shell_points(L, radius, mode))
-        assert 0 < solves <= (radius + 1) * D * E + 1, (mode, solves)
+        assert 0 < solves[0] <= (radius + 1) * D * E + 1, (mode, solves[0])
         assert got == sorted(got) and all(v in L and l1norm(v) == radius for v in got)
         if radius <= 8:  # the filtered shell walk is cheap enough here
             slow = [v for v in shell_points(m, radius, "all" if mode == "half" else mode)
@@ -290,20 +297,41 @@ def sharp_lattice(p, m):
     return from_congruences(sharp_case_lattice(SharpCaseSpec(p, m)))
 
 
-@pytest.mark.parametrize("search, limit", [
-    (degree_bounds.bfield, (10, 65)),
-    (degree_bounds.bfieldr, (256, 220)),
-    (geomnum.successive_minima, (256, 219)),
+@pytest.mark.parametrize("mode, limit", [
+    ("nonnegative", (250, 387)),
+    ("half", (271, 230)),
+    ("all", (270, 186)),
 ])
-def test_split_walk_solves_each_key_once(monkeypatch, search, limit):
+def test_split_walk_solves_each_key_once(monkeypatch, mode, limit):
+    # Work gate on one plain walker over the sharp (23, 6) shells 0..8, as
+    # a search that holds no form walks them: each table key is solved once
+    # for the whole walk, so the pair solves are the pair table's keys plus
+    # one per prefix of the first shells, which stream.  Pinned at 250 keys
+    # and 387 solves in the nonnegative orthant, 271 and 230 for the half,
+    # 270 and 186 for all orthants.
+    L = sharp_lattice(23, 6)
+    solves = counting_solves(monkeypatch)
+    walk = shell_walker(L, mode)
+    for d in range(9):
+        assert list(walk(d)) == reference_shell(L, d, mode), (mode, d)
+    max_keys, max_solves = limit
+    assert 0 < table_keys(walk) <= max_keys and 0 < solves[0] <= max_solves, \
+        (table_keys(walk), solves[0])
+
+
+@pytest.mark.parametrize("search, limit", [
+    (degree_bounds.bfield, 58),
+    (degree_bounds.bfieldr, 93),
+    (geomnum.successive_minima, 92),
+])
+def test_searches_prune_the_answer_shell(monkeypatch, search, limit):
     # Work gate on one sharp (23, 6) search, which walks shells 0..3 and
-    # then 8, the answer: each table key is solved once for the whole
-    # search, so the pair solves are the pair table's keys plus one per
-    # prefix of the first shells, which stream.  Pinned at 10 keys and 65
-    # solves for bfield, 256 and 220 for bfieldr and 256 and 219 for the
-    # minima.  Walking every shell up to 8 made 212 / 371, 264 / 224 and
-    # 264 / 223; the walker whose keys lived for one shell made 453, 528
-    # and 527 solves, the streaming walk alone 794, 4169 and 4168.
+    # then 8, the answer, holding the form f = (-1, 1, -2, 2, -3, 3) with
+    # g = 23: the answer shell streams, keeps no table and solves the pair
+    # only after prefixes that can still leave ker f.  Pinned at 58, 93 and
+    # 92 solves; the split walk of the answer shell made 65, 220 and 219
+    # (with 10, 256 and 256 keys), walking every shell up to 8 371, 224 and
+    # 223, the streaming walk alone 794, 4169 and 4168.
     L = sharp_lattice(23, 6)
     walkers = []
 
@@ -313,20 +341,103 @@ def test_split_walk_solves_each_key_once(monkeypatch, search, limit):
 
     monkeypatch.setattr(degree_bounds, "shell_walker", keeping)
     monkeypatch.setattr(geomnum, "shell_walker", keeping)
-    solve = ball_enum.trailing_pairs
-    solves = 0
-
-    def counting(*args):
-        nonlocal solves
-        solves += 1
-        return solve(*args)
-
-    monkeypatch.setattr(ball_enum, "trailing_pairs", counting)
+    solves = counting_solves(monkeypatch)
     search(L)
     (walk,) = walkers
-    max_keys, max_solves = limit
-    assert 0 < table_keys(walk) <= max_keys and 0 < solves <= max_solves, \
-        (table_keys(walk), solves)
+    assert table_keys(walk) == 0 and 0 < solves[0] <= limit, (table_keys(walk), solves[0])
+
+
+def test_pruned_answer_shell_yields_the_off_form_members():
+    # Work gate on the sharp (53, 6) answer shell, radius 18, in the half
+    # the all-orthant searches walk: of its 8,458 members 36 are off the
+    # form f the searches hold there, the first of them member 8,418.  The
+    # pruned walk yields those 36 and one member of ker f, and bfieldr and
+    # successive_minima each pull one member from the shell, not 8,418.
+    L = sharp_lattice(53, 6)
+    f = (-1, 1, -2, 2, -3, 3)
+    g = degree_bounds._form_gcd(f, L)
+    assert g == 53 and degree_bounds._off_form_radius(f, L) == 18
+    full = list(shell_walker(L, "half")(18))
+    got = list(shell_walker(L, "half")(18, (f, g)))
+    off = [v for v in full if sum(map(mul, f, v))]
+    assert len(full) == 8458 and len(off) == 36 and len(got) <= 37, (len(full), len(got))
+    assert [v for v in got if sum(map(mul, f, v))] == off
+    for search in (degree_bounds.bfieldr, geomnum.successive_minima):
+        pulled = []
+
+        def counting(L, mode):
+            walk = shell_walker(L, mode)
+
+            def counted(d, *form):
+                for v in walk(d, *form):
+                    pulled.append(d)
+                    yield v
+            return counted
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(degree_bounds, "shell_walker", counting)
+            mp.setattr(geomnum, "shell_walker", counting)
+            search(L)
+        assert pulled.count(18) == 1, (search.__name__, pulled.count(18))
+
+
+# the shells the pruned-walk property compares, by dimension: the reference
+# filters every point of each shell up to these radii, about 3,600 in all
+PRUNE_RADII = {1: 30, 2: 20, 3: 12, 4: 8, 5: 6, 6: 5}
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.data())
+def test_pruned_walk_against_reference(data):
+    # walk(d, (f, g)) drops only prefixes whose every completion has
+    # |f . v| < g, and g divides f . v on L: so it yields every member off
+    # ker f that the reference shell holds, in its order, and nothing else
+    # but members of that shell, also in its order.  One- and two-row
+    # systems and bare bases, m 1..6, every mode; f is random, a row of the
+    # system (residues centred on 0, as the sharp forms are), or the
+    # primitive form vanishing on m - 1 columns of L, which a search holds
+    # once those columns span its accumulator.
+    kind = data.draw(st.sampled_from(("one row", "two rows", "bare basis")), label="kind")
+    m = data.draw(st.integers(1, 6), label="m")
+    if kind == "bare basis":
+        gens = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=m, max_size=m),
+                                  min_size=m, max_size=m), label="generators")
+        try:
+            L = LatticeBasis.from_generators(gens, m)
+        except ValueError:
+            assume(False)
+        rows, moduli = (), ()
+    else:
+        k = 1 if kind == "one row" else 2
+        moduli = tuple(data.draw(st.lists(st.integers(2, 30), min_size=k, max_size=k),
+                                 label="moduli"))
+        rows = tuple(tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m),
+                                     label="row")) for n in moduli)
+        L = from_congruences(CongruenceSystem(moduli, rows))
+    choice = data.draw(st.sampled_from(("random", "row", "columns")), label="form")
+    if choice == "row" and rows:
+        n = moduli[0]
+        f = tuple((c + n // 2) % n - n // 2 for c in rows[0])
+    elif choice == "columns" and m > 1:
+        j = data.draw(st.integers(0, m - 1), label="column left out")
+        f = geomnum.determinant_form(L.columns[:j] + L.columns[j + 1:], m).coefficients
+    else:
+        f = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m), label="f"))
+    assume(any(f))
+    c = gcd(*f)
+    f = tuple(x // c for x in f)
+    g = degree_bounds._form_gcd(f, L)
+    for mode in LATTICE_MODES:
+        walk = shell_walker(L, mode)
+        for d in range(PRUNE_RADII[m] + 1):
+            reference = reference_shell(L, d, mode)
+            got = list(walk(d, (f, g)))
+            assert [v for v in got if sum(map(mul, f, v))] == \
+                [v for v in reference if sum(map(mul, f, v))], (L, f, mode, d)
+            rest = iter(reference)
+            assert all(v in rest for v in got), (L, f, mode, d)
+            # the pruned shells leave the walker's tables as they were
+            assert list(walk(d)) == reference, (L, f, mode, d)
 
 
 def test_low_reuse_walk_streams():

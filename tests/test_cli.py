@@ -351,6 +351,19 @@ class TestVerify:
                             "--format", "json"])[1]
         assert [c["p"] for c in json.loads(text)["cases"]] == [3, 3, 5, 5]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "sharp", "--primes", "5", "--m", "-1"], "--m must be at least 1, got -1"),
+        (["verify", "sharp", "--primes", "5", "--m", "0..2"], "--m must be at least 1, got 0"),
+        (["verify", "sharp", "--primes", "4", "--m", "2"], "--primes has no odd prime in 4"),
+        (["verify", "sharp", "--primes", "2,8..10", "--m", "1"],
+         "--primes has no odd prime in 2,8..10"),
+        (["scan", "--primes", "5", "--m", "-1"], "--m must be at least 1, got -1"),
+    ])
+    def test_sharp_with_nothing_to_check_exits_2(self, capsys, argv, message):
+        # verify sharp once printed an empty suite with "ok": true for these
+        assert run(argv) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_sampled_m_out_of_range_named(self, capsys):
         for m, nmax, bad in (("6", "4", 6), ("0..2", "4", 0), ("2..12", "12", 12)):
             argv = ["verify", "relations", "--random", "2", "--m", m, "--nmax", nmax]

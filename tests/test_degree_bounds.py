@@ -401,8 +401,8 @@ class TestAgainstShellSearch:
         def counting(L, mode):
             walk = shell_walker(L, mode)
 
-            def counted(d):
-                for v in walk(d):
+            def counted(d, *form):
+                for v in walk(d, *form):
                     pulled[0] += 1
                     yield v
             return counted

@@ -184,9 +184,9 @@ def record_shells(mp):
     def walker(L, mode):
         walk = shell_walker(L, mode)
 
-        def walked(d):
+        def walked(d, *form):
             events.append(("shell", d))
-            return walk(d)
+            return walk(d, *form)
         return walked
 
     def skip(f, L):
@@ -499,9 +499,9 @@ class TestGenDegBasisShortWalk:
         def recording(L, mode):
             walk = walker(L, mode)
 
-            def walk_recording(radius):
+            def walk_recording(radius, *form):
                 radii.append(radius)
-                return walk(radius)
+                return walk(radius, *form)
             return walk_recording
 
         monkeypatch.setattr(geomnum, "shell_walker", recording)
