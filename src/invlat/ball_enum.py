@@ -1,10 +1,11 @@
 """Enumeration of integer points by L1 shells.
 
 Shells of the cross-polytope are walked in lexicographic order, either over
-all orthants or restricted to the nonnegative orthant.  The bfield,
-bfieldr and successive-minima searches consume points in exactly this order,
-which is what pins down witness tie-breaking; the dspan search reproduces
-the same order without walking shells.
+all orthants or restricted to the nonnegative orthant.  The generation
+search behind bfield and bfieldr, whose half walk also gives the successive
+minima, consumes points in exactly this order, which is what pins down
+witness tie-breaking; the dspan search reproduces the same order without
+walking shells.
 
 The searches walk lattice members directly.  Each search holds one
 shell_walker, whose walk(d) yields the members of L on shell d in the same

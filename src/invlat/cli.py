@@ -189,6 +189,22 @@ def at_least(flag, value, least):
         raise ValueError(f"{flag} must be at least {least}, got {value}")
 
 
+def prime_sweep(args, odd):
+    """The (p, m) cells of --primes and --m: p prime, and odd when odd (the
+    sharp family needs an odd prime), and m < p.  A sweep left without a
+    cell is invalid input, whose message names the flag."""
+    primes, ms = parse_range(args.primes, "--primes"), parse_range(args.m, "--m")
+    at_least("--m", min(ms), 1)
+    primes = [p for p in primes if constructions.is_prime(p) and not (odd and p == 2)]
+    if not primes:
+        raise ValueError(f"--primes has no {'odd ' if odd else ''}prime in {args.primes}")
+    cells = [(p, m) for p in primes for m in ms if m < p]
+    if not cells:
+        raise ValueError(f"--m has no value below a prime of --primes {args.primes}, "
+                         f"got {args.m}")
+    return cells
+
+
 def vec_str(v):
     return "(" + ",".join(str(x) for x in v) + ")"
 
@@ -409,20 +425,11 @@ def _sharp_case(spec):
 
 
 def _verify_sharp(args, jobs):
-    primes, ms = parse_range(args.primes, "--primes"), parse_range(args.m, "--m")
-    at_least("--m", min(ms), 1)
-    # the sharp family is defined for odd primes only
-    primes = [p for p in primes if p != 2 and constructions.is_prime(p)]
-    if not primes:
-        raise ValueError(f"--primes has no odd prime in {args.primes}")
     specs = []
-    for p in primes:
-        for m in ms:
-            if m >= p:
-                continue
-            missings = [None] if m % 2 == 0 else \
-                [s * k for k in range(1, (m + 1) // 2 + 1) for s in (1, -1)]
-            specs += [constructions.SharpCaseSpec(p, m, miss) for miss in missings]
+    for p, m in prime_sweep(args, odd=True):
+        missings = [None] if m % 2 == 0 else \
+            [s * k for k in range(1, (m + 1) // 2 + 1) for s in (1, -1)]
+        specs += [constructions.SharpCaseSpec(p, m, miss) for miss in missings]
     cases = parallel_map(_sharp_case, specs, jobs)
     violations = [f"p={p} m={m} missing={miss}"
                   for p, m, miss, *_, ok in cases if not ok]
@@ -472,8 +479,6 @@ SCAN_HEADER = ["p", "m", "family", "coefficients", "dspan", "bfield", "bfieldr",
 
 def _scan_cell(cell):
     family, p, m, samples, seed, cap = cell
-    if m >= p or (family == "sharp" and p == 2):
-        return []
     if family == "sharp":
         systems = [constructions.sharp_case_lattice(constructions.SharpCaseSpec(p, m))]
     else:
@@ -502,15 +507,10 @@ def _scan_cell(cell):
 
 def cmd_scan(args):
     jobs = resolve_jobs(args.jobs)
-    primes = [p for p in parse_range(args.primes, "--primes") if constructions.is_prime(p)]
-    if not primes:
-        raise ValueError("no primes in range")
-    ms = parse_range(args.m, "--m")
-    at_least("--m", min(ms), 1)
+    sweep = prime_sweep(args, odd=args.family == "sharp")
     at_least("--samples", args.samples, 0)
     at_least("--cap", args.cap, 0)
-    cells = [(args.family, p, m, args.samples, args.seed, args.cap)
-             for p in primes for m in ms]
+    cells = [(args.family, p, m, args.samples, args.seed, args.cap) for p, m in sweep]
     rows = [r for cell_rows in parallel_map(_scan_cell, cells, jobs)
             for r in cell_rows]
     table = [

@@ -12,13 +12,17 @@ Values are exact, not bounds; witnesses are deterministic, the first hit in
 shell-then-lexicographic order.  bfield and bfieldr walk the lattice members
 of each shell directly, in that same order, through one ball_enum.shell_walker
 per search, which keeps the suffixes it solves from shell to shell.
+That walk, _generation_search, is the only one: it yields each add to the
+accumulator, bfield and bfieldr run it to the add that completes L, and the
+successive minima and the Mahler refinement of geomnum read the adds of
+bfieldr's walk that raised the rank.
 A walked member grows the accumulator iff it is not in it, a reduction over
 m rows, until a shell leaves the accumulator at rank m - 1 and saturated,
 equal to L ∩ ker f for the primitive form f that vanishes on it; from then
 until the next add, f . v != 0 decides, one dot product per member.
 A v in L has g | f . v, g the gcd of f over L, so no shell below
-r = ceil(g / max |f_i|) holds a new witness and none is walked (nor in
-successive_minima): on the sharp lattices, shells 0..3, then r, the answer.
+r = ceil(g / max |f_i|) holds a new witness and none is walked: on the
+sharp lattices, shells 1..3, then r, the answer.
 The same bound prunes inside a shell: the walker is given (f, g) and drops
 every prefix whose completions all have |f . v| < g (ball_enum), of which
 the skip is the root case; on the sharp (53, 6) answer shell it yields 37 of
@@ -174,37 +178,52 @@ def _one_modulus_bfs(row, n, index, cap):
 
 
 def _generation_search(L, mode, which, cap):
-    """Grow a GeneratedLattice shell by shell until it is L.
+    """Grow a GeneratedLattice shell by shell until it is L, yielding
+    (radius, member, raised) for each add, raised when it raised acc.rank.
 
-    Returns at the add that completes it, mid-shell: every later member of
+    Stops at the add that completes it, mid-shell: every later member of
     the shell already lies in the accumulator, so none could be a witness.
-    While a shell's end left the accumulator saturated at rank m - 1,
+    Shell 0 holds only 0, which acc contains, so the walk starts at 1.
+    While the start (in m = 1, where the empty acc is L ∩ ker f) or a
+    shell's end left the accumulator saturated at rank m - 1,
     _saturated_form's f tests each member with one dot product instead of
     a reduction; the next add drops f.  While f is kept, no shell below
     r = _off_form_radius(f, L) holds a witness: the next is max(d + 1, r),
     and its walk prunes the prefixes that cannot leave ker f.  A walk keeps
     its (f, g) after an add drops f: what it prunes lies in L ∩ ker f, which
     is inside the accumulator, and that only grows.
+    The span of acc is the span of the adds that raised its rank, so those
+    adds are the first members outside the span of the ones before: on the
+    half walk, the successive minima witnesses in walk order.
     """
     acc = GeneratedLattice(L.dimension)
-    witnesses = []
     walk = shell_walker(L, mode)
-    form = held = None
-    d = 0
-    while d <= cap:
-        grew = False
-        for v in walk(d, held):
-            if (v not in acc) if form is None else sum(map(mul, form, v)) != 0:
-                acc.add(v)
-                witnesses.append(v)
-                if acc.index == L.index:
-                    return DegreeBoundReport(which, d, tuple(witnesses), L.index, cap)
-                form, grew = None, True
+    d, grew = 0, True
+    while True:
         if grew:
             form = _saturated_form(acc, L) if acc.rank == L.dimension - 1 else None
             held = form and (form, _form_gcd(form, L))
         d = max(d + 1, _off_form_radius(form, L)) if form else d + 1
-    raise CapExceededError(which, cap)
+        if d > cap:
+            raise CapExceededError(which, cap)
+        grew = False
+        for v in walk(d, held):
+            if (v not in acc) if form is None else sum(map(mul, form, v)) != 0:
+                rank = acc.rank
+                acc.add(v)
+                yield d, v, acc.rank > rank
+                if acc.index == L.index:
+                    return
+                form, grew = None, True
+
+
+def _generation_bound(L, mode, which, cap):
+    """bfield or bfieldr: _generation_search run to completion, valued at
+    the radius of its last add, with every member it added as witness."""
+    if cap is None:
+        cap = L.index
+    radii, witnesses, _ = zip(*_generation_search(L, mode, which, cap))
+    return DegreeBoundReport(which, radii[-1], witnesses, L.index, cap)
 
 
 def _form_gcd(f, L):
@@ -259,9 +278,7 @@ def bfield(L, cap=None) -> DegreeBoundReport:
     Witnesses are the vectors that strictly grew the generated sublattice,
     so they generate exactly what all nonnegative members up to d generate.
     """
-    if cap is None:
-        cap = L.index
-    return _generation_search(L, "nonnegative", "bfield", cap)
+    return _generation_bound(L, "nonnegative", "bfield", cap)
 
 
 def bfieldr(L, cap=None) -> DegreeBoundReport:
@@ -270,9 +287,7 @@ def bfieldr(L, cap=None) -> DegreeBoundReport:
     Walks half of each shell: v and -v generate the same, and -v comes
     first in lex order whenever v's first nonzero coordinate is positive.
     """
-    if cap is None:
-        cap = L.index
-    return _generation_search(L, "half", "bfieldr", cap)
+    return _generation_bound(L, "half", "bfieldr", cap)
 
 
 def verify_bound_relations(L):

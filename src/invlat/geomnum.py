@@ -1,14 +1,14 @@
 """Geometry of numbers for L1 balls against a full-rank lattice.
 
-Successive minima by exhaustive search over the lattice members of each
-shell, the Minkowski product test, short bases refined from minima
-witnesses, and the completion of m - 1 short independent vectors to a
-genuine basis via the determinant linear form, whose coefficient j is
-det(b_1, ..., b_{m-1}, e_j).  The refinement and the completion both run
-on one fold of inverse rows (_fold) through the xgcd column step of
-lattice_core; determinant forms on one fraction-free elimination
-(Bareiss, _eliminate) on Python ints; root enclosures on Fraction.
-Nothing is floating point.
+Successive minima, read from the rank-raising adds of the generation
+search that bfieldr runs (degree_bounds._generation_search), the Minkowski
+product test, short bases refined from minima witnesses, and the
+completion of m - 1 short independent vectors to a genuine basis via the
+determinant linear form, whose coefficient j is det(b_1, ..., b_{m-1},
+e_j).  The refinement and the completion both run on one fold of inverse
+rows (_fold) through the xgcd column step of lattice_core; determinant
+forms on one fraction-free elimination (Bareiss, _eliminate) on Python
+ints; root enclosures on Fraction.  Nothing is floating point.
 """
 
 from __future__ import annotations
@@ -17,10 +17,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
-from .ball_enum import shell_walker
-from .degree_bounds import CapExceededError, _form_gcd, _off_form_radius
+from .degree_bounds import _generation_search
 from .lattice_core import InternalError, _gcd_step, is_generating, l1norm
 
 
@@ -43,63 +41,20 @@ class SuccessiveMinima:
 def successive_minima(L, cap=None) -> SuccessiveMinima:
     """Exact successive minima of the L1 ball against L.
 
-    The lattice members of each shell are walked outward in lex order, and
-    any member outside the span of the vectors collected so far is kept, so
-    the shell radius at the i-th collection is exactly the i-th minimum.
-    The span test is a set of primitive integer linear forms spanning the
-    forms that vanish on the witnesses (the identity rows before the
-    first): v lies outside the span iff some form is nonzero on v.  The
-    forms change only when a witness w is kept: with a_j = f_j . w and p
-    the first index with a_p != 0, they become a_p f_j - a_j f_p for every
-    j != p, each divided by its content.  At rank m - 1 the one form left
-    is the determinant form up to its content, and the shell after d is
-    then max(d + 1, degree_bounds._off_form_radius(f, L)), walked with the
-    prefixes that cannot leave ker f pruned (ball_enum).  Only half of
-    each shell is walked: -v spans what v spans and comes first.  index *
-    e_i always lies in L, which makes index a safe default cap.
+    The first m rank-raising adds of bfieldr's walk
+    (degree_bounds._generation_search in mode "half"): its members are
+    walked outward in lex order, and each one outside the span of those
+    kept so far raises the rank, so the shell radius of the i-th such add
+    is exactly the i-th minimum.  Half of each shell is enough: -v spans
+    what v spans and comes first.  index * e_i always lies in L, which
+    makes index a safe default cap.
     """
     if cap is None:
         cap = L.index
-    values, witnesses = zip(*itertools.islice(_minima(L, cap), L.dimension))
+    adds = _generation_search(L, "half", "successive_minima", cap)
+    minima = itertools.islice(((d, v) for d, v, raised in adds if raised), L.dimension)
+    values, witnesses = zip(*minima)
     return SuccessiveMinima(values, witnesses)
-
-
-def _minima(L, cap):
-    """Yield (radius, witness) for each successive minimum in turn, walking
-    no shell beyond the one that holds the last minimum asked for."""
-    m = L.dimension
-    forms = [tuple(1 if k == j else 0 for k in range(m)) for j in range(m)]
-    walk = shell_walker(L, "half")
-    held, d = None, 1
-    while d <= cap:
-        for v in walk(d, held):
-            a = [sum(map(mul, f, v)) for f in forms]
-            if not any(a):
-                continue
-            yield d, v
-            if len(forms) == 1:
-                return
-            forms = _narrow(forms, a)
-        if len(forms) == 1:
-            held = forms[0], _form_gcd(forms[0], L)
-            d = max(d + 1, _off_form_radius(forms[0], L))
-        else:
-            d += 1
-    raise CapExceededError("successive_minima", cap)
-
-
-def _narrow(forms, a):
-    """The span forms of successive_minima after keeping w, from a, the
-    values of forms on w (not all zero)."""
-    p = next(j for j, aj in enumerate(a) if aj)
-    fp = forms[p]
-    out = []
-    for j, (f, aj) in enumerate(zip(forms, a)):
-        if j != p:
-            row = [a[p] * c - aj * cp for c, cp in zip(f, fp)]
-            g = math.gcd(*row)
-            out.append(tuple(c // g for c in row))
-    return out
 
 
 @dataclass(frozen=True)
@@ -205,6 +160,8 @@ def mahler_basis(L) -> MahlerBasis:
 def _refined(L):
     """Yield (radius, witness, vector) for each successive minimum in turn,
     the vector being the refinement of mahler_basis before its sign fix.
+    The witnesses are read as successive_minima reads them: the first m
+    rank-raising adds of bfieldr's walk.
 
     rows holds, after a c slot, the rows V_k of the inverse of a unimodular
     basis U of L's coordinates whose first i - 1 columns are b_1..b_{i-1};
@@ -217,12 +174,15 @@ def _refined(L):
     invariant raises InternalError.  No kernel or solve runs per minimum
     (tests/oracles.py keeps the rebuild-per-minimum refinement as
     refined_reference).  The i-th vector depends only on witnesses 1..i,
-    so taking the first k of them walks no shell beyond lambda_k.
+    and the walk is resumed per witness, so taking the first k of them walks
+    no shell beyond lambda_k.
     """
     m = L.dimension
     rows = [[0] + [int(j == k) for k in range(m)] for j in range(m)]
     basis = []
-    for i, (radius, w) in enumerate(_minima(L, L.index)):  # row i: witness i + 1
+    adds = _generation_search(L, "half", "successive_minima", L.index)
+    minima = itertools.islice(((d, w) for d, w, raised in adds if raised), m)
+    for i, (radius, w) in enumerate(minima):  # row i: witness i + 1
         _fold(rows, L.coords(w), i)
         a_i = rows[i][0]
         if a_i == 0:

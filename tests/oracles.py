@@ -5,9 +5,11 @@ first-principles linear algebra over Fractions, sharing no code with the
 package under test, so disagreement always means a real bug on one side.
 The exceptions are at the end: lattice_shell_points and
 lattice_points_up_to drive the package's shell walker and are checked
-against these oracles; refined_reference, the Mahler refinement rebuilt
-from kernels and rational solves at every minimum, drives the package's
-minima walk (_minima), integer_kernel and determinant_form; and
+against these oracles; span_form_minima, the minima walk invlat once ran
+beside its generation search, tests each member against integer span
+forms and drives the shell walker too; refined_reference, the Mahler
+refinement rebuilt from kernels and rational solves at every minimum,
+drives span_form_minima, integer_kernel and determinant_form; and
 completion_reference, the basis completion from a base point and
 rational coordinates, drives determinant_form and lattice membership.
 """
@@ -275,6 +277,60 @@ def lattice_points_up_to(L, radius, mode="all"):
     return [v for d in range(radius + 1) for v in walk(d)]
 
 
+def span_form_minima(L, cap):
+    """Yield (radius, witness) for each successive minimum in turn, as
+    invlat.geomnum walked them before its minima read the rank-raising adds
+    of the bfieldr search: one walk of the half shells, keeping each member
+    on which a span form is nonzero.
+
+    The forms span those vanishing on the witnesses (the identity rows
+    before the first) and change only at a kept witness (narrow_span_forms).
+    Once one form f is left, the shell after d is max(d + 1, ceil(g /
+    max |f_i|)), g the gcd of f over L, walked with the prefixes that
+    cannot leave ker f pruned.  Raises invlat's CapExceededError past cap.
+    """
+    from invlat.ball_enum import shell_walker
+    from invlat.degree_bounds import CapExceededError
+
+    m = L.dimension
+    forms = [tuple(1 if k == j else 0 for k in range(m)) for j in range(m)]
+    walk = shell_walker(L, "half")
+    held, d = None, 1
+    while d <= cap:
+        for v in walk(d, held):
+            a = [sum(x * y for x, y in zip(f, v)) for f in forms]
+            if not any(a):
+                continue
+            yield d, v
+            if len(forms) == 1:
+                return
+            forms = narrow_span_forms(forms, a)
+        if len(forms) == 1:
+            f = forms[0]
+            g = gcd(*[sum(x * y for x, y in zip(f, col)) for col in L.columns])
+            held = f, g
+            d = max(d + 1, -(-g // max(map(abs, f))))
+        else:
+            d += 1
+    raise CapExceededError("successive_minima", cap)
+
+
+def narrow_span_forms(forms, a):
+    """The span forms of span_form_minima after keeping w, from a, the
+    values of forms on w (not all zero): with p the first index with
+    a_p != 0, a_p f_j - a_j f_p for every j != p, each divided by its
+    content."""
+    p = next(j for j, aj in enumerate(a) if aj)
+    fp = forms[p]
+    out = []
+    for j, (f, aj) in enumerate(zip(forms, a)):
+        if j != p:
+            row = [a[p] * c - aj * cp for c, cp in zip(f, fp)]
+            g = gcd(*row)
+            out.append(tuple(c // g for c in row))
+    return out
+
+
 def refined_reference(L):
     """The Mahler refinement rebuilt from scratch at each minimum, as
     invlat.geomnum._refined once did; it yields what that generator yields.
@@ -286,7 +342,7 @@ def refined_reference(L):
     and t the coordinates of w_i / a_i - y0 over b_1..b_{i-1}, sign-fixed
     to a positive leading entry.  Coordinates come from solve_fractions.
     """
-    from invlat.geomnum import _minima, determinant_form
+    from invlat.geomnum import determinant_form
     from invlat.lattice_core import integer_kernel
 
     def integer_coords(columns, target):
@@ -295,7 +351,7 @@ def refined_reference(L):
     m = L.dimension
     ucoords = []
     basis_x = []
-    for i, (radius, w) in enumerate(_minima(L, L.index), start=1):
+    for i, (radius, w) in enumerate(span_form_minima(L, L.index), start=1):
         ucoords.append(L.coords(w))
         K = integer_kernel([list(t) for t in integer_kernel(ucoords, m)], m)
         assert len(K) == i, f"minima witness {i} fell into the previous span"

@@ -232,16 +232,16 @@ class TestBounds:
     def test_failed_refinement_invariant_exits_4(self, capsys, monkeypatch):
         # a minima witness repeated into the refinement is a bug in invlat,
         # reported as such and not as a traceback or as bad input
-        real = geomnum._minima
+        real = geomnum._generation_search
 
-        def first_twice(L, cap):
-            walk = real(L, cap)
+        def first_twice(*args):
+            walk = real(*args)
             first = next(walk)
             yield first
             yield first
             yield from walk
 
-        monkeypatch.setattr(geomnum, "_minima", first_twice)
+        monkeypatch.setattr(geomnum, "_generation_search", first_twice)
         code, out = run(["basis", "--construct", "sharp:p=7,m=3", "--format", "json"])
         assert code == 4 and out == ""
         err = capsys.readouterr().err
@@ -358,9 +358,18 @@ class TestVerify:
         (["verify", "sharp", "--primes", "2,8..10", "--m", "1"],
          "--primes has no odd prime in 2,8..10"),
         (["scan", "--primes", "5", "--m", "-1"], "--m must be at least 1, got -1"),
+        (["verify", "sharp", "--primes", "5", "--m", "5..7"],
+         "--m has no value below a prime of --primes 5, got 5..7"),
+        (["scan", "--primes", "5", "--m", "7"],
+         "--m has no value below a prime of --primes 5, got 7"),
+        (["scan", "--family", "random", "--primes", "3,5", "--m", "5,8"],
+         "--m has no value below a prime of --primes 3,5, got 5,8"),
+        (["scan", "--family", "sharp", "--primes", "2", "--m", "1"],
+         "--primes has no odd prime in 2"),
     ])
     def test_sharp_with_nothing_to_check_exits_2(self, capsys, argv, message):
-        # verify sharp once printed an empty suite with "ok": true for these
+        # verify sharp and scan once printed an empty result and exited 0
+        # for these
         assert run(argv) == (2, "")
         assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -485,8 +494,14 @@ class TestScan:
         assert code == 0
         assert [r["p"] for r in json.loads(text)["rows"]] == [2, 3]
 
-    def test_no_primes_in_range(self):
-        assert run(["scan", "--primes", "4", "--m", "2"])[0] == 2
+    def test_no_primes_in_range(self, capsys):
+        # the error names the flag; the sharp family, the default, needs an
+        # odd prime, and the random family takes 2 as well
+        for family, kind in (("sharp", "odd prime"), ("random", "prime")):
+            assert run(["scan", "--family", family, "--primes", "4", "--m", "2"]) == (2, "")
+            assert capsys.readouterr().err == f"error: --primes has no {kind} in 4\n"
+        assert run(["scan", "--primes", "4", "--m", "2"]) == (2, "")
+        assert capsys.readouterr().err == "error: --primes has no odd prime in 4\n"
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--samples", "-1", "--samples must be at least 0, got -1"),

@@ -111,10 +111,11 @@ class TestSuccessiveMinima:
             assert oracles.rank_of(sm.witnesses) == m
 
     def test_rank_tracker_matches_rational_rank(self):
-        # successive_minima keeps a member when one of its span forms (the
-        # identity rows, narrowed at each kept vector) is nonzero on it, and
-        # the reference search when it raises the rank of a GeneratedLattice;
-        # both must agree with the rank over Q, as the integer kernel does
+        # successive_minima keeps a member when it raises the rank of a
+        # GeneratedLattice, and the span-form reference when one of its
+        # forms (the identity rows, narrowed at each kept vector) is nonzero
+        # on it; both must agree with the rank over Q, as the integer kernel
+        # does
         rng = random.Random(34)
         for _ in range(200):
             m = rng.randint(1, 5)
@@ -139,7 +140,7 @@ class TestSuccessiveMinima:
                 assert acc.rank == oracles.rank_of(chosen + [v])
                 if grows:
                     chosen.append(v)
-                    narrowed = geomnum._narrow(narrowed, values)
+                    narrowed = oracles.narrow_span_forms(narrowed, values)
 
     def test_matches_rank_search_on_seeded_systems(self):
         for i, system in enumerate(seeded_systems(200, 47)):
@@ -194,9 +195,8 @@ def record_shells(mp):
         events.append(("skip", tuple(f), r))
         return r
 
-    for module in (degree_bounds, geomnum):
-        mp.setattr(module, "shell_walker", walker)
-        mp.setattr(module, "_off_form_radius", skip)
+    mp.setattr(degree_bounds, "shell_walker", walker)
+    mp.setattr(degree_bounds, "_off_form_radius", skip)
     return events
 
 
@@ -218,9 +218,10 @@ SKIP_SYSTEMS = UNSATURATED_ROWS + [
 
 
 class TestOffFormSkip:
-    """Once bfield/bfieldr hold a saturated form f, or successive_minima is
-    down to one span form f, a member v with f . v != 0 has norm at least
-    r = _off_form_radius(f, L), and the search walks no shell below r."""
+    """Once a generation search (bfield, bfieldr, and successive_minima,
+    which reads bfieldr's walk) holds a saturated form f, a member v with
+    f . v != 0 has norm at least r = _off_form_radius(f, L), and the search
+    walks no shell below r."""
 
     @pytest.mark.parametrize("spec, value", [
         (SharpCaseSpec(101, 4), 51), (SharpCaseSpec(31, 5, 1), 11), (SharpCaseSpec(23, 6), 8),
@@ -228,7 +229,8 @@ class TestOffFormSkip:
     def test_shells_walked(self, monkeypatch, spec, value):
         # timing-free work gate: on the sharp lattices r is the answer, so
         # each search walks its first shells, up to rank m - 1, then jumps;
-        # walking every shell up to the answer took value + 1 shells
+        # walking every shell up to the answer took value + 1 shells.  No
+        # search walks shell 0, which holds only 0
         L = from_congruences(sharp_case_lattice(spec))
         events = record_shells(monkeypatch)
         walked = {}
@@ -236,8 +238,18 @@ class TestOffFormSkip:
             events.clear()
             search(L)
             walked[search.__name__] = [e[1] for e in events if e[0] == "shell"]
-        assert walked == {"bfield": [0, 1, 2, 3, value], "bfieldr": [0, 1, 2, 3, value],
+        assert walked == {"bfield": [1, 2, 3, value], "bfieldr": [1, 2, 3, value],
                           "successive_minima": [1, 2, 3, value]}
+
+    def test_one_dimension_walks_the_index_shell_only(self, monkeypatch):
+        # in m = 1 the empty accumulator is L ∩ ker f for f = (1,), so each
+        # search starts at r = index, the answer, and walks nothing else
+        L = kernel(1009, (1,))
+        events = record_shells(monkeypatch)
+        for search in (bfield, bfieldr, successive_minima):
+            events.clear()
+            search(L)
+            assert [e[1] for e in events if e[0] == "shell"] == [1009], search.__name__
 
     SEARCHES = (
         (bfield, partial(shell_generation_search, mode="nonnegative", which="bfield",
@@ -292,6 +304,39 @@ class TestOffFormSkip:
         # the box oracle re-enumerates the ball at every radius: small cases
         if sum((2 * d + 1) ** m for d in range(1, answers[2] + 1)) <= 5_000:
             assert list(successive_minima(L).values) == oracles.oracle_minima(system)
+
+
+@pytest.mark.parametrize("spec", [SharpCaseSpec(23, 6), SharpCaseSpec(101, 4)], ids=str)
+def test_minima_pull_what_bfieldr_pulls(monkeypatch, spec):
+    # timing-free work gate: successive_minima reads the rank-raising adds
+    # of bfieldr's walk, so it pulls the members bfieldr pulls, in order, up
+    # to the m-th rank-raising add, and stops there
+    L = from_congruences(sharp_case_lattice(spec))
+    pulled = []
+    walker = degree_bounds.shell_walker
+
+    def counting(L, mode):
+        walk = walker(L, mode)
+
+        def counted(d, *form):
+            for v in walk(d, *form):
+                pulled.append(v)
+                yield v
+        return counted
+
+    monkeypatch.setattr(degree_bounds, "shell_walker", counting)
+    report = bfieldr(L)
+    by_bfieldr = list(pulled)
+    acc, raised = GeneratedLattice(L.dimension), []
+    for v in report.witnesses:
+        rank = acc.rank
+        acc.add(v)
+        if acc.rank > rank:
+            raised.append(v)
+    pulled.clear()
+    sm = successive_minima(L)
+    assert sm.witnesses == tuple(raised)
+    assert pulled == by_bfieldr[:by_bfieldr.index(raised[-1]) + 1]
 
 
 class TestMinkowski:
@@ -494,7 +539,7 @@ class TestGenDegBasisShortWalk:
         # basis no further than lambda_{m-1}, which is below it here
         L = from_congruences(sharp_case_lattice(SharpCaseSpec(p, 6)))
         radii = []
-        walker = geomnum.shell_walker
+        walker = degree_bounds.shell_walker
 
         def recording(L, mode):
             walk = walker(L, mode)
@@ -504,7 +549,7 @@ class TestGenDegBasisShortWalk:
                 return walk(radius, *form)
             return walk_recording
 
-        monkeypatch.setattr(geomnum, "shell_walker", recording)
+        monkeypatch.setattr(degree_bounds, "shell_walker", recording)
         lam = successive_minima(L).values
         assert max(radii) == lam[-1]
         radii.clear()
@@ -531,9 +576,9 @@ class TestRefinementInvariants:
 
     def test_norm_ceiling_is_checked_on_both(self, monkeypatch):
         # minima reported as 1 make the refined norms break i * lambda_i
-        real = geomnum._minima
-        monkeypatch.setattr(geomnum, "_minima",
-                            lambda L, cap: ((1, w) for _, w in real(L, cap)))
+        real = geomnum._generation_search
+        monkeypatch.setattr(geomnum, "_generation_search", lambda *args: (
+            (1, w, raised) for _, w, raised in real(*args)))
         L = from_congruences(sharp_case_lattice(SharpCaseSpec(7, 3)))
         for build in (gen_deg_basis, mahler_basis):
             with pytest.raises(InternalError, match=r"norm 2 > 1 \* minimum 1"):
@@ -602,6 +647,52 @@ class TestRefinementAgainstReference:
     def test_drawn_one_and_two_row_systems(self, data):
         L = draw_walkable_lattice(data)
         assert list(geomnum._refined(L)) == list(oracles.refined_reference(L))
+
+
+def span_form_successive_minima(L, cap=None):
+    """successive_minima over the span-form reference walk."""
+    if cap is None:
+        cap = L.index
+    minima = itertools.islice(oracles.span_form_minima(L, cap), L.dimension)
+    values, witnesses = zip(*minima)
+    return SuccessiveMinima(values, witnesses)
+
+
+class TestMinimaAgainstSpanFormReference:
+    """successive_minima, which reads the rank-raising adds of the bfieldr
+    walk, against the span-form walk it replaced; and the bases refined from
+    the one against the bases refined from the other."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_drawn_lattices(self, data):
+        kind = data.draw(st.sampled_from(("one row", "two rows", "bare basis")), label="kind")
+        m = data.draw(st.integers(1, 5), label="m")
+        if kind == "bare basis":
+            gens = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=m, max_size=m),
+                                      min_size=m, max_size=m), label="generators")
+            try:
+                L = LatticeBasis.from_generators(gens, m)
+            except ValueError:
+                assume(False)
+        else:
+            k = 1 if kind == "one row" else 2
+            moduli = tuple(data.draw(st.lists(st.integers(2, 30), min_size=k, max_size=k),
+                                     label="moduli"))
+            rows = tuple(data.draw(st.tuples(*[st.integers(0, n - 1)] * m),
+                                   label=f"row mod {n}") for n in moduli)
+            L = from_congruences(CongruenceSystem(moduli, rows))
+        reference = minima_outcome(span_form_successive_minima, L, WALK_RADIUS_CAP)
+        assume(isinstance(reference, SuccessiveMinima))
+        last = reference.values[-1]
+        cap = data.draw(st.sampled_from((None, 0, 1, last - 1, last)), label="cap")
+        assert minima_outcome(successive_minima, L, cap) == \
+            minima_outcome(span_form_successive_minima, L, cap), (L, cap)
+        got = mahler_basis(L).vectors, gen_deg_basis(L).vectors
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geomnum, "_generation_search", lambda L, mode, which, cap: (
+                (d, w, True) for d, w in oracles.span_form_minima(L, cap)))
+            assert got == (mahler_basis(L).vectors, gen_deg_basis(L).vectors), L
 
 
 def completion_inputs(L):
