@@ -399,9 +399,12 @@ def _verify_sampled(worker, args, jobs):
     detail)."""
     at_least("--random", args.random, 0)
     at_least("--nmax", args.nmax, 4)
-    systems = random_congruence_systems(
-        args.random, args.seed, m_choices=tuple(parse_range(args.m, "--m")),
-        n_max=args.nmax)
+    ms = parse_range(args.m, "--m")
+    at_least("--m", min(ms), 1)
+    if max(ms) >= args.nmax:
+        raise ValueError(f"--m must be below --nmax {args.nmax}, got {max(ms)}")
+    systems = random_congruence_systems(args.random, args.seed, m_choices=tuple(ms),
+                                        n_max=args.nmax)
     items = [(s, args.seed + i) for i, s in enumerate(systems)]
     results = list(zip(systems, parallel_map(worker, items, jobs)))
     violations = [s.to_json() for s, (ok, _) in results if not ok]

@@ -30,8 +30,9 @@ the skip is the root case; on the sharp (53, 6) answer shell it yields 37 of
 dspan is a breadth-first search over the coset labels of L.presentation,
 one layer per norm, whose witnesses are the minimal-norm, lex-least
 representatives: the points a walk of the nonnegative shells would hit first.
-With one modulus (every single-row system) the labels are integers and each
-layer is generated in lex order, so no candidate is compared or sorted.
+Each layer is generated in lex order, so no candidate is compared or
+sorted; the labels are integers with one modulus (every single-row system)
+and residue tuples otherwise, and only the label step tells them apart.
 """
 
 from __future__ import annotations
@@ -104,46 +105,20 @@ def dspan(L, cap=None) -> DegreeBoundReport:
     smaller, plus e_i, would undercut v), so it is some w(k).  Each layer is
     held in witness order, which is shell-then-lexicographic order.
 
-    Both searches key the witnesses by label tuple, (k,) for one modulus.
+    One loop serves every presentation, keying the witnesses by label tuple,
+    (k,) for one modulus.
     """
     if cap is None:
         cap = L.index - 1
-    rows, moduli = L.presentation
-    if len(moduli) == 1:
-        d, seen = _one_modulus_bfs(rows[0], moduli[0], L.index, cap)
-    else:
-        d, seen = _tuple_label_bfs(rows, moduli, L.index, cap)
+    d, seen = _label_bfs(L.presentation, L.index, cap)
     # d > cap only for a negative cap, which every dspan >= 0 exceeds
     if len(seen) < L.index or d > cap:
         raise CapExceededError("dspan", cap)
     return DegreeBoundReport("dspan", d, seen, L.index, cap)
 
 
-def _tuple_label_bfs(rows, moduli, index, cap):
-    """dspan's BFS on label tuples: every witness of layer d steps along
-    every e_i, and each coset reached keeps its least candidate."""
-    steps = list(enumerate(zip(*rows)))
-    seen = {(0,) * len(moduli): (0,) * len(steps)}
-    layer = list(seen.items())
-    d = 0
-    while len(seen) < index and d < cap:
-        reached = {}
-        for key, w in layer:
-            for i, step in steps:
-                nxt = tuple([(k + s) % n for k, s, n in zip(key, step, moduli)])
-                if nxt in seen:
-                    continue
-                cand = w[:i] + (w[i] + 1,) + w[i + 1:]
-                if nxt not in reached or cand < reached[nxt]:
-                    reached[nxt] = cand
-        layer = sorted(reached.items(), key=lambda item: item[1])
-        seen.update(layer)
-        d += 1
-    return d, seen
-
-
-def _one_modulus_bfs(row, n, index, cap):
-    """dspan's BFS on integer labels k = row . v mod n, in lex order.
+def _label_bfs(presentation, index, cap):
+    """dspan's BFS over the labels of presentation, in lex order.
 
     Let first(v) be the first nonzero coordinate of v, and first(0) = m - 1.
     A new witness v is w + e_f for f = first(v) and w = v - e_f a witness
@@ -154,23 +129,34 @@ def _one_modulus_bfs(row, n, index, cap):
     prefix in order, makes the candidates in ascending lex order.  The
     first candidate to reach a coset is its witness, so none is compared
     or sorted, and a witness w makes first(w) + 1 steps, not m.
+    Nothing here depends on the form of a label: with one modulus n it is
+    the integer k = row . v mod n, keyed (k,); otherwise the tuple of
+    residues, one per modulus.
     """
-    m = len(row)
-    zero = (0,) * m
-    seen = {(0,): zero}
+    rows, moduli = presentation
+    one = len(moduli) == 1
+    steps = rows[0] if one else list(zip(*rows))
+    n = moduli[0] if one else None
+    m = len(steps)
+    zero, key = (0,) * m, (0,) * len(moduli)
+    seen = {key: zero}
     # ends[i] counts the witnesses of the layer with first(w) >= i
-    layer, ends = [(0, zero)], [1] * m
+    layer, ends = [(0 if one else key, zero)], [1] * m
     d = 0
     while len(seen) < index and d < cap:
         reached, reached_ends = [], [0] * m
         for i in range(m - 1, -1, -1):
-            c = row[i]
+            c = steps[i]
             for k, w in islice(layer, ends[i]):
-                key = ((k + c) % n,)
+                if one:
+                    k = (k + c) % n
+                    key = (k,)
+                else:
+                    k = key = tuple([(a + s) % q for a, s, q in zip(k, c, moduli)])
                 if key not in seen:
                     v = w[:i] + (w[i] + 1,) + w[i + 1:]
                     seen[key] = v
-                    reached.append((key[0], v))
+                    reached.append((k, v))
             reached_ends[i] = len(reached)
         layer, ends = reached, reached_ends
         d += 1

@@ -9,9 +9,12 @@ against these oracles; span_form_minima, the minima walk invlat once ran
 beside its generation search, tests each member against integer span
 forms and drives the shell walker too; refined_reference, the Mahler
 refinement rebuilt from kernels and rational solves at every minimum,
-drives span_form_minima, integer_kernel and determinant_form; and
+drives span_form_minima, integer_kernel and determinant_form;
 completion_reference, the basis completion from a base point and
-rational coordinates, drives determinant_form and lattice membership.
+rational coordinates, drives determinant_form and lattice membership; and
+dicyclic_label_walk, the points of one label on the dicyclic
+restriction kernel by a walk of every nonnegative point, drives
+shell_points.
 """
 
 from fractions import Fraction
@@ -444,3 +447,15 @@ def completion_reference(L, short_vectors):
         raise InternalError("completion exceeded its norm bound")
     return BasisCompletion(
         bstar, dstar, dstar_index, norm_bound, abs(dstar) >= L.index, form)
+
+
+def dicyclic_label_walk(n, radius):
+    """The nonnegative points labeled n-1 on [[1, 2n-1]] mod 2n, one list
+    per norm 0..radius, from a walk of every point through invlat's
+    shell_points: the reference for constructions.dicyclic_label_points."""
+    from invlat.ball_enum import shell_points
+    from invlat.lattice_core import CongruenceSystem
+
+    system = CongruenceSystem((2 * n,), ((1, 2 * n - 1),))
+    return [[v for v in shell_points(2, d, "nonnegative") if label(system, v) == (n - 1,)]
+            for d in range(radius + 1)]

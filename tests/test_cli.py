@@ -374,11 +374,23 @@ class TestVerify:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_sampled_m_out_of_range_named(self, capsys):
-        for m, nmax, bad in (("6", "4", 6), ("0..2", "4", 0), ("2..12", "12", 12)):
+        for m, nmax, message in (("6", "4", "--m must be below --nmax 4, got 6"),
+                                 ("0..2", "4", "--m must be at least 1, got 0"),
+                                 ("2..12", "12", "--m must be below --nmax 12, got 12")):
             argv = ["verify", "relations", "--random", "2", "--m", m, "--nmax", nmax]
             assert run(argv) == (2, ""), argv
-            assert capsys.readouterr().err == \
-                f"error: need 1 <= m < n_max, got m = {bad}, n_max = {nmax}\n"
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "relations", "--m", "0"], "--m must be at least 1, got 0"),
+        (["verify", "minkowski", "--m", "2..40", "--nmax", "30"],
+         "--m must be below --nmax 30, got 40"),
+        (["verify", "bite", "--m", "-3"], "--m must be at least 1, got -3"),
+    ])
+    def test_sampled_m_names_its_flags(self, capsys, argv, message):
+        # these once failed with "need 1 <= m < n_max", naming no flag
+        assert run(argv) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--random", "-2", "--random must be at least 0, got -2"),

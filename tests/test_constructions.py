@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from invlat import constructions
+from invlat import ball_enum, constructions
 from invlat.constructions import (
     COUNTEREXAMPLE_D,
     COUNTEREXAMPLE_PROOF_VECTORS,
@@ -22,6 +22,8 @@ from invlat.constructions import (
 )
 from invlat.degree_bounds import bfield, bfieldr
 from invlat.lattice_core import detect_trivial_or_duplicate, from_congruences
+
+import oracles
 
 
 class TestSharpSpec:
@@ -188,3 +190,19 @@ class TestClosedForms:
             assert dicyclic_witness_check(n)
         with pytest.raises(ValueError):
             dicyclic_witness_check(1)
+
+    def test_dicyclic_label_points_against_walk(self):
+        for n in range(2, 61):
+            assert [constructions.dicyclic_label_points(n, d) for d in range(n + 3)] == \
+                oracles.dicyclic_label_walk(n, n + 2), n
+            assert dicyclic_witness_check(n), n
+
+    def test_dicyclic_witness_walks_no_shell(self, monkeypatch):
+        # work gate: the check solves each norm in closed form, so a large n
+        # needs no shell of points
+        def refuse(*args):
+            raise AssertionError("shell_points called")
+
+        monkeypatch.setattr(ball_enum, "shell_points", refuse)
+        monkeypatch.setattr(constructions, "shell_points", refuse, raising=False)
+        assert dicyclic_witness_check(10**5)

@@ -1,6 +1,7 @@
 import json
 import random
 from functools import partial
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -218,7 +219,7 @@ class TestDspanAgainstShellSearch:
     @given(st.data())
     def test_property(self, data):
         m = data.draw(st.integers(1, 5), label="m")
-        r = data.draw(st.integers(1, 2), label="rows")
+        r = data.draw(st.integers(1, 3), label="rows")
         moduli = tuple(data.draw(st.lists(st.integers(2, 12), min_size=r, max_size=r),
                                  label="moduli"))
         rows = tuple(
@@ -231,12 +232,12 @@ class TestDspanAgainstShellSearch:
         assert outcome(dspan, L, cap) == outcome(system_shell_dspan(system), L, cap)
 
     @pytest.mark.parametrize("n, row", [(1399, (1, 1398)), (401, (1, 400, 2))])
-    @pytest.mark.parametrize("copies, path", [(1, "_one_modulus_bfs"), (2, "_tuple_label_bfs")])
-    def test_steps_by_label_without_reducing(self, monkeypatch, n, row, copies, path):
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_steps_by_label_without_reducing(self, monkeypatch, n, row, copies):
         # timing-free work gate: the shell search made about 245,000
         # reductions on the first lattice, and a BFS keyed by box residues
         # up to m * index; stepping by label makes none, on integer labels
-        # (one modulus) or on label tuples (the row repeated)
+        # (one modulus) or on label tuples (the row repeated), in one loop
         L = from_congruences(CongruenceSystem((n,) * copies, (row,) * copies))
         calls = []
 
@@ -248,12 +249,30 @@ class TestDspanAgainstShellSearch:
 
         for target, name in ((LatticeBasis, "reduce"), (LatticeBasis, "__contains__"),
                              (lattice_core, "triangular_reduce"),
-                             (degree_bounds, "_one_modulus_bfs"),
-                             (degree_bounds, "_tuple_label_bfs")):
+                             (degree_bounds, "_label_bfs")):
             monkeypatch.setattr(target, name, counting(name, getattr(target, name)))
         rep = dspan(L)
-        assert calls == [path]
+        assert calls == ["_label_bfs"]
         assert len(rep.witnesses) == L.index
+
+    def test_label_steps_do_not_depend_on_the_presentation(self, monkeypatch):
+        # timing-free work gate: each item of a layer prefix is one label
+        # step, and a witness w steps only along e_i for i <= first(w), on
+        # integer labels and label tuples alike; stepping every witness
+        # along every e_i would make m * index
+        steps = []
+
+        def counting(layer, stop):
+            for item in islice(layer, stop):
+                steps[-1] += 1
+                yield item
+
+        monkeypatch.setattr(degree_bounds, "islice", counting)
+        for copies in (1, 2):
+            L = from_congruences(CongruenceSystem((1399,) * copies, ((1, 1398),) * copies))
+            steps.append(0)
+            assert len(dspan(L).witnesses) == L.index == 1399
+        assert steps[0] == steps[1] < 1.5 * L.index
 
 
 def repeated_row(system):
@@ -275,10 +294,10 @@ def seeded_rows(count, seed):
 
 
 class TestOneModulusAgainstTuplePath:
-    """dspan on integer labels (one modulus) and on label tuples (the same
-    row given twice) give one value, the same witnesses in the same order,
-    and the same cap errors; the tuple keys are the integer labels
-    repeated."""
+    """The two label steps of dspan's one loop, on integer labels (one
+    modulus) and on label tuples (the same row given twice), give one
+    value, the same witnesses in the same order, and the same cap errors;
+    the tuple keys are the integer labels repeated."""
 
     @staticmethod
     def agreed_outcome(system, cap):
