@@ -73,9 +73,14 @@ class DegreeBoundReport:
     search_cap: int
 
     def to_jsonable(self):
-        """JSON-ready dict; dspan witness labels become comma-joined keys."""
+        """Dict for json.dumps.  dspan's witnesses are the report's own
+        vector tuples, keyed by the residue k (an int) for a one-modulus
+        label (k,) and by the comma-joined residues otherwise; json.dumps
+        writes k as its digits and a tuple as a list, so the text is that
+        of str keys and lists, and nothing is copied per coset."""
         if self.which == "dspan":
-            wit = {",".join(map(str, key)): list(vec) for key, vec in self.witnesses.items()}
+            wit = {(key[0] if len(key) == 1 else ",".join(map(str, key))): vec
+                   for key, vec in self.witnesses.items()}
         else:
             wit = [list(v) for v in self.witnesses]
         return {

@@ -14,7 +14,8 @@ completion_reference, the basis completion from a base point and
 rational coordinates, drives determinant_form and lattice membership; and
 dicyclic_label_walk, the points of one label on the dicyclic
 restriction kernel by a walk of every nonnegative point, drives
-shell_points.
+shell_points; dspan_jsonable_reference, the json dict of a dspan report
+with a str key and a list built per coset, reads the report itself.
 """
 
 from fractions import Fraction
@@ -459,3 +460,16 @@ def dicyclic_label_walk(n, radius):
     system = CongruenceSystem((2 * n,), ((1, 2 * n - 1),))
     return [[v for v in shell_points(2, d, "nonnegative") if label(system, v) == (n - 1,)]
             for d in range(radius + 1)]
+
+
+def dspan_jsonable_reference(report):
+    """DegreeBoundReport.to_jsonable of a dspan report as first written: each
+    label tuple becomes its comma-joined residues and each witness a list."""
+    return {
+        "which": report.which,
+        "value": report.value,
+        "witnesses": {",".join(map(str, key)): list(vec)
+                      for key, vec in report.witnesses.items()},
+        "index": report.index,
+        "search_cap": report.search_cap,
+    }

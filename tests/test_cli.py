@@ -21,6 +21,7 @@ from invlat.degree_bounds import DegreeBoundReport
 MOD4 = '{"moduli":[4],"coefficients":[[1,3]]}'
 MOD5 = '{"moduli":[5],"coefficients":[[1,4]]}'
 TWO_ROWS = '{"moduli":[4,6],"coefficients":[[1,3,0],[0,1,5]]}'
+GCD_ROW = '{"moduli":[12],"coefficients":[[2,4,6]]}'
 
 SCHEMA_DIR = Path(invlat.__file__).parent / "schemas"
 
@@ -75,11 +76,21 @@ class TestBounds:
         assert payload["bounds"]["bfieldr"]["value"] == 4
 
     def test_json_matches_schema(self):
+        # one residue, comma-joined residues, and residues sharing a factor with n
+        for system in (MOD4, TWO_ROWS, GCD_ROW):
+            _, text = run(["bounds", "--congruence", system, "--format", "json"])
+            payload = json.loads(text)
+            jsonschema.validate(payload, load_schema("bounds_report.schema.json"))
+            jsonschema.validate(payload["input"],
+                                load_schema("congruence_system.schema.json"))
+
+    def test_schema_rejects_a_tuple_label(self):
         _, text = run(["bounds", "--congruence", MOD4, "--format", "json"])
         payload = json.loads(text)
-        jsonschema.validate(payload, load_schema("bounds_report.schema.json"))
-        jsonschema.validate(payload["input"],
-                            load_schema("congruence_system.schema.json"))
+        schema = load_schema("bounds_report.schema.json")
+        payload["bounds"]["dspan"]["witnesses"]["(0,)"] = [0, 0]
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(payload, schema)
 
     def test_schema_rejects_negative_coefficient(self):
         schema = load_schema("congruence_system.schema.json")

@@ -3,8 +3,11 @@ every format.
 
 `golden_cli.json` holds one entry per command of `COMMANDS` x `FORMATS`,
 recorded from `invlat.cli.main` before the commands shared one output
-emitter.  `CHANGED` lists the outputs changed on purpose since then, with
-their new text; every other output must match the recording byte for byte.
+emitter; the `bounds` entries of `TWO_ROW` and of the mod-12 row, which pin
+comma-joined labels and labels sharing a factor with n, were recorded
+before `to_jsonable` stopped copying dspan's witnesses.  `CHANGED` lists
+the outputs changed on purpose since then, with their new text; every
+other output must match the recording byte for byte.
 """
 
 import io
@@ -22,6 +25,8 @@ SAMPLED = ["--random", "4", "--seed", "1", "--m", "2..3", "--nmax", "12"]
 
 COMMANDS = [
     ["bounds", "--congruence", MOD4],
+    ["bounds", "--congruence", TWO_ROW],
+    ["bounds", "--congruence", '{"moduli":[12],"coefficients":[[2,4,6]]}'],
     ["bounds", "--construct", "sharp:p=7,m=3,missing=-1", "--which", "bfield,bfieldr"],
     ["bounds", "--congruence", MOD5, "--cap", "1", "--which", "bfield"],
     ["minima", "--congruence", MOD5],

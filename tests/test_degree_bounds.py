@@ -194,7 +194,7 @@ class TestDspan:
             rep = dspan(from_congruences(system))
             expected = {",".join(map(str, lab)): list(p)
                         for lab, p in oracles.dspan_witnesses(system).items()}
-            assert list(rep.to_jsonable()["witnesses"].items()) == \
+            assert list(json.loads(rep.to_json())["witnesses"].items()) == \
                 list(expected.items())
 
 
@@ -642,3 +642,59 @@ class TestReports:
         a = dspan(kernel(7, (1, 2))).to_json()
         b = dspan(kernel(7, (1, 2))).to_json()
         assert a == b
+
+    @staticmethod
+    def draw_lattice(data):
+        """A one-row system (m 1..5, moduli up to 40, zero coefficients and
+        rows sharing a factor with n among them), a two- or three-row system
+        (m 1..4, moduli up to 12) or a bare basis (m 1..3, index up to 100);
+        None for dependent generators or a larger index."""
+        kind = data.draw(st.sampled_from(("one row", "rows", "bare basis")), label="kind")
+        if kind == "bare basis":
+            m = data.draw(st.integers(1, 3), label="m")
+            gens = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=m, max_size=m),
+                                      min_size=m, max_size=m), label="generators")
+            try:
+                L = LatticeBasis.from_generators(gens, m)
+            except ValueError:
+                return None
+            return L if L.index <= 100 else None
+        if kind == "one row":
+            m, n = data.draw(st.integers(1, 5), label="m"), data.draw(st.integers(2, 40), label="n")
+            g = data.draw(st.sampled_from((1, 2, 3)), label="factor")
+            row = tuple(g * x % n for x in data.draw(
+                st.lists(st.integers(0, n - 1), min_size=m, max_size=m), label="row"))
+            return kernel(n, row)
+        m, r = data.draw(st.integers(1, 4), label="m"), data.draw(st.integers(2, 3), label="rows")
+        moduli = tuple(data.draw(st.lists(st.integers(2, 12), min_size=r, max_size=r),
+                                 label="moduli"))
+        rows = tuple(
+            tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m),
+                            label="row"))
+            for n in moduli)
+        return from_congruences(CongruenceSystem(moduli, rows))
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.data())
+    def test_jsonable_matches_reference(self, data):
+        # int keys and the report's tuples write the text of str keys and lists
+        L = self.draw_lattice(data)
+        if L is None:
+            return
+        rep = dspan(L)
+        assert json.dumps(rep.to_jsonable()) == \
+            json.dumps(oracles.dspan_jsonable_reference(rep))
+
+    def test_jsonable_copies_no_witness(self):
+        # timing-free gate: one modulus keys each witness by its int residue
+        # and hands over the report's own tuple; more moduli key it by the
+        # comma-joined residues
+        rep = dspan(kernel(1399, (1, 1398)))
+        wit = rep.to_jsonable()["witnesses"]
+        assert len(wit) == 1399
+        assert all(type(k) is int for k in wit)
+        assert all(wit[key[0]] is vec for key, vec in rep.witnesses.items())
+        rep = dspan(from_congruences(CongruenceSystem((4, 6), ((1, 3, 0), (0, 1, 5)))))
+        wit = rep.to_jsonable()["witnesses"]
+        assert list(wit) == [",".join(map(str, key)) for key in rep.witnesses]
+        assert all(wit[",".join(map(str, key))] is vec for key, vec in rep.witnesses.items())
