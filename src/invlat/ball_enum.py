@@ -9,37 +9,28 @@ walking shells.
 
 The searches walk lattice members directly.  Each search holds one
 shell_walker, whose walk(d) yields the members of L on shell d in the same
-shell-then-lex order without visiting the non-members.  On a lattice from a
-one-row congruence with m >= 4 it is a meet in the middle: the first
-m - m // 2 coordinates are walked carrying one congruence label, and the
-last m // 2 come from sorted suffix lists memoised by (budget, label, free),
-each solved the first time it is used and kept for the later shells of the
-search.  Elsewhere, and on the early shells where the keys would outnumber
-the prefixes, the walk streams: it carries the Hermite reduction of each
-prefix and solves the last two coordinates per prefix.  Besides the full and
-the nonnegative orthant it walks half of the full shell: the members whose
-first nonzero coordinate is negative.  L = -L and -v precedes v in lex
-order, so a search that only asks whether v grows what it has seen loses
-nothing by skipping v.  shell_points followed by `v in L` (and, for the
-half, by the sign of the first nonzero coordinate) stays as the slow
-reference it must agree with.
+shell-then-lex order without visiting the non-members: it streams, carrying
+the Hermite reduction of each prefix and solving the last two coordinates
+per prefix.  Besides the full and the nonnegative orthant it walks half of
+the full shell: the members whose first nonzero coordinate is negative.
+L = -L and -v precedes v in lex order, so a search that only asks whether v
+grows what it has seen loses nothing by skipping v.  shell_points followed
+by `v in L` (and, for the half, by the sign of the first nonzero coordinate)
+stays as the slow reference it must agree with.
 
 A search that holds a form f, and only asks for the members off ker f,
 passes (f, g) to walk, g the gcd of f over L, which divides f . v for every
 member v.  A prefix v_0 .. v_{i-1} with s = f_0 v_0 + .. + f_{i-1} v_{i-1}
 and budget b completes only to |f . v| <= |s| + b * max_{k >= i} |f_k|, so
 where that is below g every completion has f . v = 0 and the prefix is
-dropped: the depth-first prune of Fincke-Pohst.  The pruned walk streams:
-the suffix tables would key suffixes that the prune never reaches.
-At the root (s = 0, b = radius) the test is the searches' skip of the
-shells below ceil(g / max |f_i|).
+dropped: the depth-first prune of Fincke-Pohst.  At the root (s = 0,
+b = radius) the test is the searches' skip of the shells below
+ceil(g / max |f_i|).
 """
 
 from __future__ import annotations
 
-from math import comb, gcd
-
-from .lattice_core import xgcd
+from math import gcd
 
 MODES = ("all", "nonnegative")
 LATTICE_MODES = MODES + ("half",)
@@ -121,18 +112,17 @@ def shell_walker(L, mode="all"):
 
     walk(d) is exactly [v for v in shell_points(L.dimension, d, mode) if v in
     L], without visiting the non-members; mode "half" keeps of the "all"
-    shell only the members whose first nonzero coordinate is negative.  One
-    walker serves one search: the suffixes it solves on one shell are kept
-    for every later shell it walks.
+    shell only the members whose first nonzero coordinate is negative.  It
+    keeps nothing from one shell to the next.
 
     walk(d, (f, g)), g the gcd of the form f over L.columns, drops the
     prefixes that cannot leave ker f (see the module docstring): it yields,
     in the same order, a subsequence of walk(d) that holds every member v
-    with f . v != 0.  It always streams, carrying f . prefix next to the
-    Hermite carry, and tests the bound at every prefix coordinate, the
-    last one fused with the pair included; m <= 2 ignores the form.
+    with f . v != 0.  It carries f . prefix next to the Hermite carry, and
+    tests the bound at every prefix coordinate, the last one fused with the
+    pair included; m <= 2 ignores the form.
 
-    The streaming walk carries the Hermite reduction of each coordinate
+    The walk carries the Hermite reduction of each coordinate
     prefix down the recursion.  L.columns is lower triangular, so coordinate
     i must be congruent to the carried reduction of the prefix modulo the
     pivot d_i, and each admissible value of it extends the carry by one
@@ -141,27 +131,6 @@ def shell_walker(L, mode="all"):
     each solved with one modular inverse (trailing_pairs).  The last prefix
     coordinate is fused with the pair: it steps only the two carries and
     yields prefix + pair off the solved list, with no generator per prefix.
-
-    The split walk is a meet in the middle, for a lattice from a one-row
-    system row . v = 0 (mod n) with m >= 4.  It walks the first
-    P = m - m // 2 coordinates carrying only the label row . prefix mod n:
-    a prefix v_0 .. v_{i-1} extends to a member iff its label is divisible
-    by gcd(row[i:], n), which leaves v_i one residue class mod d_i.  Every
-    prefix with the same label, budget b and free flag (below) has the same
-    suffixes, so the last m // 2 coordinates come from a table
-    {(b, label, free): sorted suffixes} that lives as long as the walker.
-    A key is solved the first time it is used, by the same walk one
-    coordinate further on, whose own suffixes are memoised in turn, down to
-    the pairs of trailing_pairs.  Prefixes ascend and each suffix list is
-    sorted, so shell-then-lex order holds.
-
-    A shell takes the split walk where the prefixes the search has walked
-    up to it, about ball_count(P + 1, radius) / (d_0 .. d_{P-1}), are at
-    least the keys it can reach, (radius + 1) * d_P .. d_{m-1}.  Elsewhere
-    nearly every prefix would add a key of its own, so the walk streams in
-    O(m) memory, as it always does for m <= 3, multi-row systems and bare
-    bases.  walk.memo holds the tables by first coordinate, or is None
-    where the walk always streams.
 
     The half is pruned in the recursion, not filtered: while the prefix is
     all zero (free), a coordinate runs over [-budget, 0] only, and the last
@@ -186,7 +155,6 @@ def shell_walker(L, mode="all"):
                     yield (-radius,)
                     if not half:
                         yield (radius,)
-        walk.memo = None
         return walk
 
     # Last two coordinates x, y with carries cx, cy: x = cx + D t for an
@@ -237,57 +205,6 @@ def shell_walker(L, mode="all"):
                                   s + fi * first if prune else 0, prune)
             nxt = [c + t for c, t in zip(nxt, tail)]
 
-    P = m - m // 2
-    memo = None
-    rows, moduli = L.presentation
-    if m > 3 and len(moduli) == 1:
-        (row,), (n,) = rows, moduli
-        memo = {j: {} for j in range(P, m - 1)}
-        # gcds[i] = gcd(row[i:], n): v_0 .. v_{i-1} extend to a member iff
-        # their label is divisible by gcds[i], and then v_i runs over one
-        # residue class modulo steps[i] = gcds[i + 1] / gcds[i] = d_i
-        gcds = [n] * (m + 1)
-        for i in reversed(range(m)):
-            gcds[i] = gcd(row[i], gcds[i + 1])
-        steps = [gcds[i + 1] // gcds[i] for i in range(m - 2)]
-        inverses = [pow(row[i] // gcds[i], -1, steps[i]) for i in range(m - 2)]
-        # ux * row[m - 2] + uy * row[m - 1] = gcds[m - 2] (mod n), so the
-        # carries -(label / gcds[m - 2]) * (ux, uy) complete the label
-        h, s, _ = xgcd(row[m - 1], n)
-        _, ux, t = xgcd(row[m - 2], h)
-        uy = t * s
-
-    def split(prefix, i, budget, label, free):
-        c, d = row[i], steps[i]
-        lo = 0 if nonneg else -budget
-        start = lo + (-(label // gcds[i]) * inverses[i] - lo) % d
-        stop = (0 if free else budget) + 1
-        label = (label + c * start) % n
-        cd = c * d % n
-        if i < P - 1:
-            for first in range(start, stop, d):
-                yield from split(prefix + (first,), i + 1, budget - abs(first), label,
-                                 free and first == 0)
-                label = (label + cd) % n
-            return
-        # the rest of the coordinates is one memoised suffix list
-        table = memo[i + 1]
-        for first in range(start, stop, d):
-            key = budget - abs(first), label, free and first == 0
-            hits = table.get(key)
-            if hits is None:
-                hits = table[key] = suffixes(i + 1, *key)
-            if hits:
-                yield from map((prefix + (first,)).__add__, hits)
-            label = (label + cd) % n
-
-    def suffixes(j, b, label, free):
-        # sorted v_j .. v_{m-1} of norm b that complete a prefix of this label
-        if j == m - 2:
-            q = -(label // gcds[j])
-            return trailing_pairs(progressions, D, b, q * ux, q * uy, free) or ()
-        return list(split((), j, b, label, free)) or ()
-
     def walk(radius, form=None):
         _check_shell_args(m, radius, mode, LATTICE_MODES)
         if m == 2:
@@ -299,21 +216,7 @@ def shell_walker(L, mode="all"):
                 tops[i] = max(tops[i + 1], abs(f[i]))
             if radius * tops[0] >= g:
                 yield from stream((), 0, radius, [0] * m, half, 0, (f, tops, g))
-        elif memo is not None and ball_count(P + 1, radius, mode) >= (radius + 1) * L.index:
-            yield from split((), 0, radius, 0, half)
         else:
             yield from stream((), 0, radius, [0] * m, half, 0, None)
 
-    walk.memo = memo
     return walk
-
-
-def ball_count(dimension, radius, mode="all"):
-    """Closed-form number of points with l1norm <= radius (dimension >= 0).
-
-    In mode "half", the all-zero point and half of the others.
-    """
-    if mode == "nonnegative":
-        return comb(radius + dimension, dimension)
-    n = sum(2 ** k * comb(dimension, k) * comb(radius, k) for k in range(dimension + 1))
-    return (n + 1) // 2 if mode == "half" else n

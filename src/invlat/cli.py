@@ -114,10 +114,6 @@ def _sharp(p, m, missing=None):
     return constructions.sharp_case_lattice(constructions.SharpCaseSpec(p, m, missing))
 
 
-def _counterexample(n):
-    return constructions.counterexample_lattice(n)
-
-
 def _dihedral(n):
     return {"n": n, "dspan": constructions.dihedral_dspan(n)}
 
@@ -132,7 +128,7 @@ def _dicyclic(n):
 # CongruenceSystem of a lattice family, else the construct payload
 FAMILIES = {
     "sharp": (_sharp, ("p", "m"), ("missing",), True),
-    "counterexample": (_counterexample, ("n",), (), True),
+    "counterexample": (constructions.counterexample_lattice, ("n",), (), True),
     "dihedral": (_dihedral, ("n",), (), False),
     "dicyclic": (_dicyclic, ("n",), (), False),
 }
@@ -364,7 +360,9 @@ def _bite_case(item):
 
 
 def _verify_hrd(args, jobs):
-    groups = [rank2.hrd_verify(n, jobs=jobs) for n in parse_range(args.n, "--n")]
+    ns = parse_range(args.n, "--n")
+    at_least("--n", min(ns), 1)
+    groups = [rank2.hrd_verify(n, jobs=jobs) for n in ns]
     violations = [v for g in groups for v in g.violations]
     rows = [(g.n, g.sigma, g.count, g.excluded_count,
              g.max_dspan_nonexcluded, len(g.violations)) for g in groups]
@@ -384,8 +382,12 @@ def _verify_hrd(args, jobs):
 
 
 def _verify_counterexample(args, jobs):
-    reports = parallel_map(constructions.counterexample_check,
-                           parse_range(args.n, "--n"), jobs)
+    ns = parse_range(args.n, "--n")
+    at_least("--n", min(ns), 6)
+    odd = [n for n in ns if n % 2]
+    if odd:
+        raise ValueError(f"--n must be even, got {odd[0]}")
+    reports = parallel_map(constructions.counterexample_check, ns, jobs)
     violations = [f"n={r.n}" for r in reports if not r.ok]
     rows = [(r.n, r.bfieldr, r.half, r.bound, r.ok) for r in reports]
     payload = {

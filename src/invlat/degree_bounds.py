@@ -11,7 +11,7 @@ Three quantities, each found by an exhaustive search with proven caps:
 Values are exact, not bounds; witnesses are deterministic, the first hit in
 shell-then-lexicographic order.  bfield and bfieldr walk the lattice members
 of each shell directly, in that same order, through one ball_enum.shell_walker
-per search, which keeps the suffixes it solves from shell to shell.
+per search, which streams each shell.
 That walk, _generation_search, is the only one: it yields each add to the
 accumulator, bfield and bfieldr run it to the add that completes L, and the
 successive minima and the Mahler refinement of geomnum read the adds of

@@ -28,17 +28,18 @@ _pool = None  # (worker count, executor) of this process's pool, once one is mad
 
 
 def resolve_jobs(flag=None):
-    """Worker count: explicit flag wins, then the environment, then 1."""
+    """Worker count: explicit flag (--jobs) wins, then the environment,
+    then 1.  A count below 1 is rejected, naming where it came from."""
     if flag is not None:
-        jobs = int(flag)
+        jobs, source = int(flag), "--jobs"
     else:
         env = os.environ.get(ENV_THREADS) or "1"
         try:
-            jobs = int(env)
+            jobs, source = int(env), ENV_THREADS
         except ValueError:
             raise ValueError(f"{ENV_THREADS} must be an integer, got {env!r}") from None
     if jobs < 1:
-        raise ValueError("worker count must be at least 1")
+        raise ValueError(f"{source} must be at least 1, got {jobs}")
     return jobs
 
 

@@ -263,6 +263,17 @@ def shell_count(dimension, radius, mode="all"):
     )
 
 
+def ball_count(dimension, radius, mode="all"):
+    """Closed-form number of points with l1norm <= radius (dimension >= 0).
+
+    In mode "half", the all-zero point and half of the others.
+    """
+    if mode == "nonnegative":
+        return comb(radius + dimension, dimension)
+    n = sum(2 ** k * comb(dimension, k) * comb(radius, k) for k in range(dimension + 1))
+    return (n + 1) // 2 if mode == "half" else n
+
+
 def lattice_shell_points(L, radius, mode="all"):
     """The members of L on one shell, through a fresh invlat shell_walker:
     the walk a search makes on the first shell it reaches."""
@@ -273,8 +284,8 @@ def lattice_shell_points(L, radius, mode="all"):
 
 def lattice_points_up_to(L, radius, mode="all"):
     """Members of L with l1norm <= radius, ordered by shell then lex: the
-    shells of one invlat shell_walker, which shares its suffixes across
-    them as a search does."""
+    shells of one invlat shell_walker, walked in turn as a search walks
+    them."""
     from invlat.ball_enum import shell_walker
 
     walk = shell_walker(L, mode)

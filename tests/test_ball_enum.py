@@ -7,19 +7,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from invlat import ball_enum, degree_bounds, geomnum
-from invlat.ball_enum import (
-    LATTICE_MODES,
-    ball_count,
-    points_up_to,
-    shell_points,
-    shell_walker,
-)
+from invlat.ball_enum import LATTICE_MODES, points_up_to, shell_points, shell_walker
 from invlat.constructions import SharpCaseSpec, sharp_case_lattice
 from invlat.lattice_core import CongruenceSystem, LatticeBasis, from_congruences, l1norm
 from invlat.sampling import random_congruence_systems
 
 import oracles
-from oracles import lattice_shell_points
+from oracles import ball_count, lattice_shell_points
 
 
 def test_shells_partition_the_ball():
@@ -176,8 +170,7 @@ def test_lattice_shell_points_trailing_block_with_offset():
     # With D > 1 and a != 0 the pair's residue key must fold a * (cx // D)
     # into the second coordinate; the sharp and single-row systems mostly
     # have D = 1 and do not tell a right key from a wrong one.  From m = 4 on
-    # a single row of index <= 12 takes the split walk on the top shells, so
-    # there the pairs start from the carries of a congruence label.
+    # only lattices of index <= 12 are kept, whose shells are small.
     rng = random.Random(10)
     found = dict.fromkeys((2, 3, 4, 5), 0)
     while min(found.values()) < 3:
@@ -206,64 +199,48 @@ def counting_solves(monkeypatch):
     return solves
 
 
-@pytest.mark.parametrize("p, m, radius, modes", [
-    (53, 6, 18, ("half",)),
-    (23, 6, 8, LATTICE_MODES),
+@pytest.mark.parametrize("mode, solves_pinned", [
+    ("nonnegative", 1287),
+    ("half", 4185),
+    ("all", 8361),
 ])
-def test_pair_solves_once_per_budget_and_residue(monkeypatch, p, m, radius, modes):
-    # Work gate on one shell through a fresh walker: the last two
-    # coordinates are solved once per (budget, label) pair key, at most
-    # D * E labels per budget, plus once for the all-zero half prefix, not
-    # once per prefix (39,445 prefixes on the (53, 6) radius-18 half).
-    L = from_congruences(sharp_case_lattice(SharpCaseSpec(p, m)))
-    D, _, E = trailing_block(L)
+def test_walk_solves_the_pair_once_per_prefix(monkeypatch, mode, solves_pinned):
+    # Work gate on one plain walker over the sharp (23, 6) shells 0..8, as
+    # a search that holds no form walks them: the walk streams and solves
+    # the last two coordinates once per admissible prefix of the first four,
+    # with no table of suffixes.  The Hermite diagonal is (1, 1, 1, 1, 1,
+    # 23), so every prefix of norm <= d is admissible on shell d, and the
+    # solves are the points of the 4-dimensional balls of radius 0..8 in
+    # the walk's mode: 1,287, 4,185 and 8,361.
+    L = sharp_lattice(23, 6)
+    assert [L.columns[i][i] for i in range(6)] == [1] * 5 + [23]
     solves = counting_solves(monkeypatch)
-    for mode in modes:
-        solves[0] = 0
-        got = list(lattice_shell_points(L, radius, mode))
-        assert 0 < solves[0] <= (radius + 1) * D * E + 1, (mode, solves[0])
-        assert got == sorted(got) and all(v in L and l1norm(v) == radius for v in got)
-        if radius <= 8:  # the filtered shell walk is cheap enough here
-            slow = [v for v in shell_points(m, radius, "all" if mode == "half" else mode)
-                    if v in L and (mode != "half" or lead(v) < 0)]
-            assert got == slow, mode
-
-
-def table_keys(walk):
-    return sum(map(len, walk.memo.values()))
+    walk = shell_walker(L, mode)
+    for d in range(9):
+        assert list(walk(d)) == reference_shell(L, d, mode), (mode, d)
+    assert solves[0] == solves_pinned == sum(ball_count(4, d, mode) for d in range(9)), \
+        solves[0]
 
 
 # (n, row): a prime, a row with gcd(n, row) = 2, and a row whose first pivot
-# is 2 (v_0 must be even), so the split walk steps the label by d_0 > 1
-SPLIT_ROWS = ((7, (1, 2, 3, 5, 6, 4)), (12, (2, 4, 6, 10, 8, 2)), (8, (1, 2, 4, 6, 2, 4)))
+# is 2 (v_0 must be even), so the walk steps the first coordinate by d_0 > 1
+SINGLE_ROWS = ((7, (1, 2, 3, 5, 6, 4)), (12, (2, 4, 6, 10, 8, 2)), (8, (1, 2, 4, 6, 2, 4)))
 
 
 @pytest.mark.parametrize("mode", LATTICE_MODES)
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_search_walker_each_dimension_and_mode(m, mode):
-    # one walker per lattice, shell after shell as a search walks them; from
-    # m = 4 on a single row of small index takes the split walk
-    for n, row in SPLIT_ROWS:
+    # one walker per lattice, shell after shell as a search walks them
+    for n, row in SINGLE_ROWS:
         L = from_congruences(CongruenceSystem((n,), (row[:m],)))
-        walk = assert_search_walk_matches_reference(L, 8 if m < 5 else 6, mode)
-        if m <= 3:
-            assert walk.memo is None
-        else:
-            assert table_keys(walk) > 0, (n, row[:m], mode)
+        assert_search_walk_matches_reference(L, 8 if m < 5 else 6, mode)
 
 
 @pytest.mark.parametrize("mode", LATTICE_MODES)
-def test_search_walker_crosses_from_stream_to_split(mode):
-    # index 211 in m = 5: the first shells stream, leaving the tables empty;
-    # once the search has walked more prefixes than the keys it can reach,
-    # the later shells take the split walk
+def test_search_walker_many_shells(mode):
+    # index 211 in m = 5, one walker up to shell 15 (nonnegative) or 11
     L = from_congruences(CongruenceSystem((211,), ((1, 5, 25, 125, 203),)))
-    walk = shell_walker(L, mode)
-    keys = []
-    for d in range(16 if mode == "nonnegative" else 12):
-        assert list(walk(d)) == reference_shell(L, d, mode), (mode, d)
-        keys.append(table_keys(walk))
-    assert keys[0] == 0 and keys[-1] > 0, keys
+    assert_search_walk_matches_reference(L, 15 if mode == "nonnegative" else 11, mode)
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -280,7 +257,7 @@ def test_search_walker_single_row_property(data):
         assert_search_walk_matches_reference(L, 6 if m < 6 else 5, mode)
 
 
-def test_multi_row_systems_and_bare_bases_stream():
+def test_multi_row_systems_and_bare_bases():
     systems = [CongruenceSystem((12, 10), ((1, 2, 3, 5), (5, 0, 7, 1))),
                CongruenceSystem((6, 4), ((1, 2, 3, 4, 5), (1, 1, 0, 2, 3)))]
     bases = [from_congruences(s) for s in systems]
@@ -289,34 +266,11 @@ def test_multi_row_systems_and_bare_bases_stream():
     bases.append(LatticeBasis(4, sharp_lattice(7, 4).columns, 7))  # the row dropped
     for L in bases:
         for mode in LATTICE_MODES:
-            walk = assert_search_walk_matches_reference(L, 6, mode)
-            assert walk.memo is None, (L, mode)
+            assert_search_walk_matches_reference(L, 6, mode)
 
 
 def sharp_lattice(p, m):
     return from_congruences(sharp_case_lattice(SharpCaseSpec(p, m)))
-
-
-@pytest.mark.parametrize("mode, limit", [
-    ("nonnegative", (250, 387)),
-    ("half", (271, 230)),
-    ("all", (270, 186)),
-])
-def test_split_walk_solves_each_key_once(monkeypatch, mode, limit):
-    # Work gate on one plain walker over the sharp (23, 6) shells 0..8, as
-    # a search that holds no form walks them: each table key is solved once
-    # for the whole walk, so the pair solves are the pair table's keys plus
-    # one per prefix of the first shells, which stream.  Pinned at 250 keys
-    # and 387 solves in the nonnegative orthant, 271 and 230 for the half,
-    # 270 and 186 for all orthants.
-    L = sharp_lattice(23, 6)
-    solves = counting_solves(monkeypatch)
-    walk = shell_walker(L, mode)
-    for d in range(9):
-        assert list(walk(d)) == reference_shell(L, d, mode), (mode, d)
-    max_keys, max_solves = limit
-    assert 0 < table_keys(walk) <= max_keys and 0 < solves[0] <= max_solves, \
-        (table_keys(walk), solves[0])
 
 
 @pytest.mark.parametrize("search, limit", [
@@ -327,24 +281,14 @@ def test_split_walk_solves_each_key_once(monkeypatch, mode, limit):
 def test_searches_prune_the_answer_shell(monkeypatch, search, limit):
     # Work gate on one sharp (23, 6) search, which walks shells 1..3 and
     # then 8, the answer, holding the form f = (-1, 1, -2, 2, -3, 3) with
-    # g = 23: the answer shell streams, keeps no table and solves the pair
-    # only after prefixes that can still leave ker f.  Pinned at 57, 92 and
-    # 92 solves (58 and 93 while bfield and bfieldr walked shell 0, which
-    # holds only 0); the split walk of the answer shell made 65, 220 and 219
-    # (with 10, 256 and 256 keys), walking every shell up to 8 371, 224 and
-    # 223, the streaming walk alone 794, 4169 and 4168.
+    # g = 23: the answer shell solves the pair only after prefixes that can
+    # still leave ker f.  Pinned at 57, 92 and 92 solves (58 and 93 while
+    # bfield and bfieldr walked shell 0, which holds only 0); walking every
+    # shell up to 8 without the form takes 794, 4169 and 4168.
     L = sharp_lattice(23, 6)
-    walkers = []
-
-    def keeping(L, mode):
-        walkers.append(shell_walker(L, mode))
-        return walkers[-1]
-
-    monkeypatch.setattr(degree_bounds, "shell_walker", keeping)
     solves = counting_solves(monkeypatch)
     search(L)
-    (walk,) = walkers
-    assert table_keys(walk) == 0 and 0 < solves[0] <= limit, (table_keys(walk), solves[0])
+    assert 0 < solves[0] <= limit, solves[0]
 
 
 def test_pruned_answer_shell_yields_the_off_form_members():
@@ -435,14 +379,14 @@ def test_pruned_walk_against_reference(data):
                 [v for v in reference if sum(map(mul, f, v))], (L, f, mode, d)
             rest = iter(reference)
             assert all(v in rest for v in got), (L, f, mode, d)
-            # the pruned shells leave the walker's tables as they were
+            # the same walker without the form walks the whole shell
             assert list(walk(d)) == reference, (L, f, mode, d)
 
 
 def test_low_reuse_walk_streams():
-    # Index 100003 leaves about one prefix per (budget, residue) key on this
-    # shell (25,025 prefixes), so the walk keeps no solves and its memory
-    # does not grow with the prefix count; keying them all takes megabytes.
+    # Index 100003 on this shell: 25,025 prefixes, each solved once.  The
+    # walk keeps no solves, so its memory does not grow with the prefix
+    # count; keying them all takes megabytes.
     L = from_congruences(CongruenceSystem((100003,), ((1, 343, 2401, 16807, 17646, 23519),)))
     tracemalloc.start()
     try:
@@ -456,8 +400,8 @@ def test_low_reuse_walk_streams():
 
 def test_low_reuse_search_walker_streams():
     # The same lattice through the walker bfieldr holds, over radii 0..16:
-    # the prefixes walked stay below the (radius + 1) * index keys, so no
-    # table fills and the memory stays that of one streaming shell.
+    # nothing is kept from shell to shell, so the memory stays that of one
+    # streaming shell.
     L = from_congruences(CongruenceSystem((100003,), ((1, 343, 2401, 16807, 17646, 23519),)))
     tracemalloc.start()
     try:
@@ -468,7 +412,6 @@ def test_low_reuse_search_walker_streams():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table_keys(walk) == 0
     assert peak < 64 * 1024, peak
 
 

@@ -636,6 +636,26 @@ class TestConstruct:
             assert run(argv) == (2, ""), argv
             assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_verify_n_checked_before_any_work(self, monkeypatch, capsys):
+        # the whole --n list is checked up front: --n 300,0 used to run
+        # n = 300 before failing with "index must be positive", and an odd
+        # n failed inside the check without naming --n
+        calls = []
+        monkeypatch.setattr(cli.rank2, "hrd_verify", lambda n, jobs=1: calls.append(n))
+        monkeypatch.setattr(cli.constructions, "counterexample_check",
+                            lambda n: calls.append(n))
+        cases = [(["verify", "hrd", "--n", "300,0"], "--n must be at least 1, got 0"),
+                 (["verify", "hrd", "--n=-2..3", "-f", "json"],
+                  "--n must be at least 1, got -2"),
+                 (["verify", "counterexample", "--n", "7"], "--n must be even, got 7"),
+                 (["verify", "counterexample", "--n", "6,8,9,11", "-f", "csv"],
+                  "--n must be even, got 9"),
+                 (["verify", "counterexample", "--n", "8,4"], "--n must be at least 6, got 4")]
+        for argv, message in cases:
+            assert run(argv) == (2, ""), argv
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert calls == []
+
     def test_construct_flag_needs_a_lattice(self, capsys):
         assert run(["bounds", "--construct", "dihedral:n=4"]) == (2, "")
         assert capsys.readouterr().err == \
@@ -664,6 +684,17 @@ class TestParallelism:
 
     def test_bad_jobs(self):
         assert run(["verify", "hrd", "--n", "1..4", "--jobs", "0"])[0] == 2
+
+    def test_bad_worker_count_names_its_source(self, monkeypatch, capsys):
+        assert run(["verify", "hrd", "--n", "1..4", "--jobs", "0"]) == (2, "")
+        assert capsys.readouterr().err == "error: --jobs must be at least 1, got 0\n"
+        assert run(["scan", "--primes", "5", "--m", "2", "-j", "-3"]) == (2, "")
+        assert capsys.readouterr().err == "error: --jobs must be at least 1, got -3\n"
+        monkeypatch.setenv("INVLAT_THREADS", "0")
+        assert run(["verify", "counterexample", "--n", "6"]) == (2, "")
+        assert capsys.readouterr().err == "error: INVLAT_THREADS must be at least 1, got 0\n"
+        # the flag still wins over the environment
+        assert run(["verify", "counterexample", "--n", "6", "--jobs", "1"])[0] == 0
 
     def test_bad_env_threads_named(self, monkeypatch, capsys):
         monkeypatch.setenv("INVLAT_THREADS", "abc")

@@ -441,18 +441,18 @@ def filtered_shell(L, d, mode):
     return [v for v in shell_points(L.dimension, d, mode) if v in L]
 
 
-# single rows on both sides of the walker's split/stream choice (small and
-# large index, gcd(n, row) > 1, a first pivot of 2), m = 4..6
-SPLIT_SYSTEMS = [CongruenceSystem((n,), (row,)) for n, row in (
+# single rows of small and large index, with gcd(n, row) > 1 or a first
+# pivot of 2, m = 4..6
+ROW_SYSTEMS = [CongruenceSystem((n,), (row,)) for n, row in (
     (23, (1, 22, 2, 21, 3, 20)), (12, (2, 4, 6, 10, 8)), (8, (1, 2, 4, 6, 2, 4)),
     (211, (1, 5, 25, 125, 203)), (97, (1, 10, 3, 30)), (30, (6, 10, 15, 1)))]
 
 
-class TestSplitWalkSearches:
-    """The searches on lattices the split walk serves, against the whole-shell
-    search over the filtered reference walk, which shares no walker code."""
+class TestSingleRowSearches:
+    """The searches on single rows, against the whole-shell search over the
+    filtered reference walk, which shares no walker code."""
 
-    @pytest.mark.parametrize("system", SPLIT_SYSTEMS, ids=str)
+    @pytest.mark.parametrize("system", ROW_SYSTEMS, ids=str)
     def test_against_filtered_shell_search(self, system):
         L = from_congruences(system)
         for fast, mode, which in ((bfieldr, "all", "bfieldr"),

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from invlat import degree_bounds, geomnum, lattice_core
-from invlat.ball_enum import ball_count, shell_walker
+from invlat.ball_enum import shell_walker
 from invlat.constructions import SharpCaseSpec, conjecture_bound, is_prime, sharp_case_lattice
 from invlat.degree_bounds import CapExceededError, bfield, bfieldr
 from invlat.geomnum import (
@@ -39,9 +39,9 @@ from invlat.lattice_core import (
 from invlat.sampling import random_congruence_systems
 
 import oracles
-from oracles import lattice_shell_points
+from oracles import ball_count, lattice_shell_points
 from test_degree_bounds import (
-    SPLIT_SYSTEMS,
+    ROW_SYSTEMS,
     UNSATURATED_ROWS,
     filtered_shell,
     generation_outcome,
@@ -154,9 +154,9 @@ class TestSuccessiveMinima:
         L = from_congruences(sharp_case_lattice(SharpCaseSpec(p, m)))
         assert successive_minima(L) == rank_successive_minima(L)
 
-    @pytest.mark.parametrize("system", SPLIT_SYSTEMS, ids=str)
-    def test_split_walk_against_filtered_rank_search(self, system):
-        # the lattices of the split walk, against the rank search over the
+    @pytest.mark.parametrize("system", ROW_SYSTEMS, ids=str)
+    def test_single_rows_against_filtered_rank_search(self, system):
+        # single rows of m = 4..6, against the rank search over the
         # filtered reference walk, which shares no walker code
         L = from_congruences(system)
         assert successive_minima(L) == rank_successive_minima(L, walk=filtered_shell)
