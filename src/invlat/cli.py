@@ -367,18 +367,11 @@ def _verify_hrd(args, jobs):
     rows = [(g.n, g.sigma, g.count, g.excluded_count,
              g.max_dspan_nonexcluded, len(g.violations)) for g in groups]
     header = ["n", "sigma", "count", "excluded", "max_dspan", "violations"]
-    payload = {
-        "suite": "hrd",
-        "groups": [
-            {"n": g.n, "sigma": g.sigma, "count": g.count,
-             "excluded": g.excluded_count,
-             "max_dspan_nonexcluded": g.max_dspan_nonexcluded,
-             "violations": g.violations}
-            for g in groups
-        ],
-        "ok": not violations,
-    }
-    return payload, header, rows, violations
+    items = [{"n": g.n, "sigma": g.sigma, "count": g.count,
+              "excluded": g.excluded_count,
+              "max_dspan_nonexcluded": g.max_dspan_nonexcluded,
+              "violations": g.violations} for g in groups]
+    return "groups", items, header, rows, violations
 
 
 def _verify_counterexample(args, jobs):
@@ -390,12 +383,8 @@ def _verify_counterexample(args, jobs):
     reports = parallel_map(constructions.counterexample_check, ns, jobs)
     violations = [f"n={r.n}" for r in reports if not r.ok]
     rows = [(r.n, r.bfieldr, r.half, r.bound, r.ok) for r in reports]
-    payload = {
-        "suite": "counterexample",
-        "cases": [r.to_jsonable() for r in reports],
-        "ok": not violations,
-    }
-    return payload, ["n", "bfieldr", "half", "bound", "ok"], rows, violations
+    return ("cases", [r.to_jsonable() for r in reports],
+            ["n", "bfieldr", "half", "bound", "ok"], rows, violations)
 
 
 def _verify_sampled(worker, args, jobs):
@@ -415,13 +404,8 @@ def _verify_sampled(worker, args, jobs):
     violations = [s.to_json() for s, (ok, _) in results if not ok]
     rows = [(s.moduli[0], s.m, csv_cell(s.coefficients[0]), ok)
             for s, (ok, _) in results]
-    payload = {
-        "suite": args.suite,
-        "cases": [{"system": s.to_jsonable(), "ok": ok, "detail": d}
-                  for s, (ok, d) in results],
-        "ok": not violations,
-    }
-    return payload, ["n", "m", "coefficients", "ok"], rows, violations
+    items = [{"system": s.to_jsonable(), "ok": ok, "detail": d} for s, (ok, d) in results]
+    return "cases", items, ["n", "m", "coefficients", "ok"], rows, violations
 
 
 def _sharp_case(spec):
@@ -433,31 +417,19 @@ def _sharp_case(spec):
 
 
 def _verify_sharp(args, jobs):
-    specs = []
-    for p, m in prime_sweep(args, odd=True):
-        missings = [None] if m % 2 == 0 else \
-            [s * k for k in range(1, (m + 1) // 2 + 1) for s in (1, -1)]
-        specs += [constructions.SharpCaseSpec(p, m, miss) for miss in missings]
+    specs = [constructions.SharpCaseSpec(p, m, miss) for p, m in prime_sweep(args, odd=True)
+             for miss in constructions.sharp_missings(m)]
     cases = parallel_map(_sharp_case, specs, jobs)
+    header = ["p", "m", "missing", "bfield", "bfieldr", "bound", "ok"]
     violations = [f"p={p} m={m} missing={miss}"
                   for p, m, miss, *_, ok in cases if not ok]
-    payload = {
-        "suite": "sharp",
-        "cases": [
-            {"p": p, "m": m, "missing": miss, "bfield": bf, "bfieldr": br,
-             "bound": bound, "ok": ok}
-            for p, m, miss, bf, br, bound, ok in cases
-        ],
-        "ok": not violations,
-    }
     # an empty cell, not None, also in pretty rows: even m has no missing
-    rows = [(p, m, "" if miss is None else miss, bf, br, bound, ok)
-            for p, m, miss, bf, br, bound, ok in cases]
-    return payload, ["p", "m", "missing", "bfield", "bfieldr", "bound", "ok"], rows, violations
+    rows = [(p, m, "" if miss is None else miss, *rest) for p, m, miss, *rest in cases]
+    return "cases", [dict(zip(header, c)) for c in cases], header, rows, violations
 
 
-# suite -> (run(args, jobs) giving (payload, header, rows, violations),
-#           the default --n for the suites that read it)
+# suite -> (run(args, jobs) giving (payload key, its items, header, rows,
+#           violations), the default --n for the suites that read it)
 SUITES = {
     "hrd": (_verify_hrd, "1..24"),
     "counterexample": (_verify_counterexample, "6,8,10,12"),
@@ -473,7 +445,8 @@ def cmd_verify(args):
     run, default_n = SUITES[args.suite]
     if args.n is None:
         args.n = default_n
-    payload, header, rows, violations = run(args, resolve_jobs(args.jobs))
+    key, items, header, rows, violations = run(args, resolve_jobs(args.jobs))
+    payload = {"suite": args.suite, key: items, "ok": not violations}
     pretty = table_lines(header, rows)
     pretty.append(f"suite {args.suite}: {len(rows)} cases, {len(violations)} violations")
     return Result(payload, header, rows, pretty, violations)
@@ -484,13 +457,20 @@ def cmd_verify(args):
 SCAN_HEADER = ["p", "m", "family", "coefficients", "dspan", "bfield", "bfieldr",
                "conjecture_bound", "meets_bound", "flag"]
 
+# family -> (systems(p, m, samples, seed) giving the systems of one (p, m)
+#            cell, whether the family needs an odd prime)
+SCAN_FAMILIES = {
+    "sharp": (lambda p, m, samples, seed: [_sharp(p, m)], True),
+    "random": (scan_cell_systems, False),
+}
+
 
 def _scan_cell(cell):
+    """The rows of one (p, m) cell, each a tuple in SCAN_HEADER order.  A
+    cell names its family rather than holding its function, so it pickles
+    for a worker process."""
     family, p, m, samples, seed, cap = cell
-    if family == "sharp":
-        systems = [constructions.sharp_case_lattice(constructions.SharpCaseSpec(p, m))]
-    else:
-        systems = scan_cell_systems(p, m, samples, seed)
+    systems = SCAN_FAMILIES[family][0](p, m, samples, seed)
     bound = constructions.conjecture_bound(p, m)
     rows = []
     for system in systems:
@@ -503,32 +483,22 @@ def _scan_cell(cell):
         except CapExceededError as exc:
             ds = bf = br = meets = None
             flag = f"cap-exceeded:{exc.which}"
-        rows.append({
-            "p": p, "m": m, "family": family,
-            "coefficients": system.coefficients[0],
-            "dspan": ds, "bfield": bf, "bfieldr": br,
-            "conjecture_bound": bound,
-            "meets_bound": meets, "flag": flag,
-        })
+        rows.append((p, m, family, system.coefficients[0], ds, bf, br, bound, meets, flag))
     return rows
 
 
 def cmd_scan(args):
     jobs = resolve_jobs(args.jobs)
-    sweep = prime_sweep(args, odd=args.family == "sharp")
+    sweep = prime_sweep(args, odd=SCAN_FAMILIES[args.family][1])
     at_least("--samples", args.samples, 0)
     at_least("--cap", args.cap, 0)
     cells = [(args.family, p, m, args.samples, args.seed, args.cap) for p, m in sweep]
     rows = [r for cell_rows in parallel_map(_scan_cell, cells, jobs)
             for r in cell_rows]
-    table = [
-        (r["p"], r["m"], r["family"], csv_cell(r["coefficients"]),
-         r["dspan"], r["bfield"], r["bfieldr"], r["conjecture_bound"],
-         r["meets_bound"], r["flag"])
-        for r in rows
-    ]
+    table = [(*r[:3], csv_cell(r[3]), *r[4:]) for r in rows]
     pretty = table_lines(SCAN_HEADER, table) + [f"{len(table)} rows"]
-    return Result({"rows": rows}, SCAN_HEADER, table, pretty)
+    return Result(lambda: {"rows": [dict(zip(SCAN_HEADER, r)) for r in rows]},
+                  SCAN_HEADER, table, pretty)
 
 
 # --------------------------------------------------------------- construct
@@ -597,7 +567,7 @@ def build_parser():
     p = subs.add_parser("scan", help="per-(p, m) bound table")
     p.add_argument("--primes", required=True)
     p.add_argument("--m", required=True)
-    p.add_argument("--family", choices=("sharp", "random"), default="sharp")
+    p.add_argument("--family", choices=SCAN_FAMILIES, default="sharp")
     p.add_argument("--samples", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=int, default=None)
@@ -625,8 +595,7 @@ def main(argv=None, out=None):
     except InternalError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return 4
-    except (InvalidSystemError, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
+    except (InvalidSystemError, ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -57,7 +57,7 @@ class SharpCaseSpec:
                 raise ValueError("even m uses the full coefficient set")
         else:
             miss = self.missing if self.missing is not None else -k
-            if miss == 0 or abs(miss) > k:
+            if miss not in sharp_missings(self.m):
                 raise ValueError(f"missing coefficient {miss} outside +-1..+-{k}")
             object.__setattr__(self, "missing", miss)
 
@@ -70,6 +70,14 @@ class SharpCaseSpec:
         if self.m % 2 == 1:
             seq.remove(self.missing)
         return tuple(seq)
+
+
+def sharp_missings(m):
+    """The `missing` values of the sharp family at dimension m, in sweep
+    order: None for even m, else +1, -1, ..., +ceil(m/2), -ceil(m/2)."""
+    if m % 2 == 0:
+        return [None]
+    return [s * k for k in range(1, half_up(m) + 1) for s in (1, -1)]
 
 
 def sharp_case_lattice(spec: SharpCaseSpec) -> CongruenceSystem:
@@ -252,14 +260,12 @@ def dicyclic_witness_check(n) -> bool:
     """Lower-bound witness on the abelian restriction kernel [[1, 2n-1]]
     mod 2n: among nonnegative points labeled n-1, the unique norm-minimal
     one is (n-1, 0) at norm n-1, no point has norm n, and (n, 1) appears
-    at norm n+1.  Each norm is solved, not walked, so this is O(n)."""
+    at norm n+1.  Each norm is solved, not walked, and dropped once tested,
+    so this takes O(n) time and constant memory."""
     if n < 2:
         raise ValueError("need n >= 2")
-    by_norm = [dicyclic_label_points(n, d) for d in range(n + 2)]
-    if any(by_norm[:n - 1]):
+    if any(dicyclic_label_points(n, d) for d in range(n - 1)):
         return False
-    if by_norm[n - 1] != [(n - 1, 0)]:
-        return False
-    if by_norm[n]:
-        return False
-    return (n, 1) in by_norm[n + 1]
+    return (dicyclic_label_points(n, n - 1) == [(n - 1, 0)]
+            and not dicyclic_label_points(n, n)
+            and (n, 1) in dicyclic_label_points(n, n + 1))

@@ -240,6 +240,16 @@ class TestBounds:
         with pytest.raises(BrokenProcessPool):
             run(["basis", "--construct", "sharp:p=5,m=3", "--format", "json"])
 
+    def test_internal_key_error_is_not_bad_input(self, monkeypatch):
+        # every input lookup checks its key first, so a KeyError is a bug
+        # that propagates, not an "error:" line and exit 2
+        def broken(*args, **kwargs):
+            raise KeyError("missing")
+
+        monkeypatch.setattr(geomnum.DeterminantForm, "apply", broken)
+        with pytest.raises(KeyError):
+            run(["basis", "--construct", "sharp:p=5,m=3", "--format", "json"])
+
     def test_failed_refinement_invariant_exits_4(self, capsys, monkeypatch):
         # a minima witness repeated into the refinement is a bug in invlat,
         # reported as such and not as a traceback or as bad input
@@ -537,6 +547,11 @@ class TestScan:
         code, out = run(["scan"] + [t for kv in args.items() for t in kv])
         assert code == 2 and out == ""
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_family_choices_are_the_table(self):
+        scan = next(a for a in build_parser()._actions if a.dest == "command").choices["scan"]
+        family = next(a for a in scan._actions if a.dest == "family")
+        assert tuple(family.choices) == tuple(cli.SCAN_FAMILIES) == ("sharp", "random")
 
     def test_jobs_invariance(self):
         args = ["scan", "--primes", "5..11", "--m", "2..3", "--format", "json"]

@@ -5,7 +5,10 @@ every format.
 recorded from `invlat.cli.main` before the commands shared one output
 emitter; the `bounds` entries of `TWO_ROW` and of the mod-12 row, which pin
 comma-joined labels and labels sharing a factor with n, were recorded
-before `to_jsonable` stopped copying dspan's witnesses.  `CHANGED` lists
+before `to_jsonable` stopped copying dspan's witnesses; the last three
+commands, a capped and valued `scan --family random` cell, `verify sharp`
+at odd m = 5 and `verify hrd` past n = 6, were recorded before each `scan`
+and `verify` row was built once from a single tuple.  `CHANGED` lists
 the outputs changed on purpose since then, with their new text; every
 other output must match the recording byte for byte.
 """
@@ -49,6 +52,10 @@ COMMANDS = [
     ["construct", "counterexample:n=6"],
     ["construct", "dihedral:n=4"],
     ["construct", "dicyclic:n=3"],
+    ["scan", "--family", "random", "--primes", "7..13", "--m", "3..4", "--samples", "3",
+     "--seed", "3", "--cap", "3"],
+    ["verify", "sharp", "--primes", "11", "--m", "5"],
+    ["verify", "hrd", "--n", "7..9"],
 ]
 FORMATS = ("json", "csv", "pretty")
 

@@ -1,6 +1,7 @@
 """Named families: sharp case, composite counterexample, closed forms."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -19,6 +20,7 @@ from invlat.constructions import (
     dihedral_dspan,
     is_prime,
     sharp_case_lattice,
+    sharp_missings,
 )
 from invlat.degree_bounds import bfield, bfieldr
 from invlat.lattice_core import detect_trivial_or_duplicate, from_congruences
@@ -55,6 +57,26 @@ class TestSharpSpec:
             SharpCaseSpec(7, 3, missing=0)
         with pytest.raises(ValueError):
             SharpCaseSpec(7, 3, missing=3)  # outside +-1..+-2
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_sharp_missings_are_the_accepted_values(self, m):
+        # the sweep takes exactly the missing values the spec accepts, in
+        # the order +1, -1, +2, -2, ...; every other value near them raises
+        k = -(-m // 2)
+        accepted = []
+        for miss in range(-k - 1, k + 2):
+            try:
+                accepted.append(SharpCaseSpec(11, m, miss).missing)
+            except ValueError:
+                pass
+        if m % 2 == 0:
+            assert accepted == [] and sharp_missings(m) == [None]
+            assert SharpCaseSpec(11, m).missing is None
+        else:
+            assert sharp_missings(m) == [s * j for j in range(1, k + 1) for s in (1, -1)]
+            assert sorted(accepted) == sorted(sharp_missings(m))
+        assert [SharpCaseSpec(11, m, miss).missing for miss in sharp_missings(m)] == \
+            sharp_missings(m)
 
     def test_lattice_rows(self):
         assert sharp_case_lattice(SharpCaseSpec(5, 2)).coefficients == ((1, 4),)
@@ -206,3 +228,14 @@ class TestClosedForms:
         monkeypatch.setattr(ball_enum, "shell_points", refuse)
         monkeypatch.setattr(constructions, "shell_points", refuse, raising=False)
         assert dicyclic_witness_check(10**5)
+
+    def test_dicyclic_witness_keeps_no_norms(self):
+        # memory gate: each norm's points are dropped once tested, so the
+        # check does not grow with n; holding all n + 2 norms takes megabytes
+        tracemalloc.start()
+        try:
+            assert dicyclic_witness_check(10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
