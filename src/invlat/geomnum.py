@@ -5,10 +5,10 @@ search that bfieldr runs (degree_bounds._generation_search), the Minkowski
 product test, short bases refined from minima witnesses, and the
 completion of m - 1 short independent vectors to a genuine basis via the
 determinant linear form, whose coefficient j is det(b_1, ..., b_{m-1},
-e_j).  The refinement and the completion both run on one fold of inverse
-rows (_fold) through the xgcd column step of lattice_core; determinant
-forms on one fraction-free elimination (Bareiss, _eliminate) on Python
-ints; root enclosures on Fraction.  Nothing is floating point.
+e_j).  The refinement, the completion and the determinant forms all run
+on one fold of inverse rows (_fold) through the xgcd column step of
+lattice_core, on Python ints; root enclosures on Fraction.  Nothing is
+floating point.
 """
 
 from __future__ import annotations
@@ -79,41 +79,14 @@ def minkowski_check(L, sm=None) -> MinkowskiCheck:
     return MinkowskiCheck(sm, product, bound, product <= bound)
 
 
-def _eliminate(aug, k):
-    """Fraction-free Gauss-Jordan (Bareiss) on the first k columns of aug.
-
-    aug is a list of integer rows, changed in place.  Every entry stays a
-    minor of the input, so each division by the previous pivot is exact,
-    and the pivot rows are the ones plain Gauss-Jordan picks.  After step c
-    a row that was never a pivot holds, in column j, the determinant of
-    the pivot rows (in pivot order) and itself over columns 0..c and j.
-    Returns pivot_rows; fewer than k of them means the first k columns are
-    dependent, and elimination stopped at the first one without a pivot.
-    """
-    pivot_rows = []
-    prev = 1
-    for c in range(k):
-        pr = next((r for r, row in enumerate(aug) if row[c] and r not in pivot_rows), None)
-        if pr is None:
-            break
-        pivot_rows.append(pr)
-        prow = aug[pr]
-        pv = prow[c]
-        for r, row in enumerate(aug):
-            if r != pr:
-                f = row[c]
-                aug[r] = [(pv * a - f * b) // prev for a, b in zip(row, prow)]
-        prev = pv
-    return pivot_rows
-
-
 def _fold(rows, x, i):
     """One xgcd fold of x into row i of the inverse rows, in place.
 
     rows[k] is [c_k] + V_k.  Each c_k becomes V_k . x, then every nonzero
     c_k with k > i is cleared into c_i by lattice_core._gcd_step, a
-    unimodular step on rows i and k, and row i is negated if c_i < 0.
-    Afterwards c_i >= 0 is the gcd of the old c_i..c_{m-1}.
+    unimodular step of determinant +1 on rows i and k, and row i is negated
+    if c_i < 0.  Afterwards c_i >= 0 is the gcd of the old c_i..c_{m-1}.
+    Returns the determinant of the fold: -1 if row i was negated, else 1.
     """
     for row in rows:
         row[0] = sum(a * b for a, b in zip(row[1:], x))
@@ -122,6 +95,8 @@ def _fold(rows, x, i):
             _gcd_step(rows[i], rows[k], 0)
     if rows[i][0] < 0:
         rows[i] = [-t for t in rows[i]]
+        return -1
+    return 1
 
 
 @dataclass(frozen=True)
@@ -221,11 +196,13 @@ class DeterminantForm:
 def determinant_form(vectors, dimension=None) -> DeterminantForm:
     """The form whose j-th coefficient is det(b_1, ..., b_{m-1}, e_j).
 
-    One _eliminate over the m - 1 given columns of [B | I_m] leaves one row
-    that was never a pivot; its last m entries are those determinants with
-    the rows taken in pivot order, so the sign of that row permutation
-    turns them into the coefficients.  Applying the form to any w gives the
-    full determinant with w as the last column.
+    The m - 1 vectors b_i are folded (_fold) in turn into the inverse rows
+    V of Z^m.  Afterwards V B is upper triangular with diagonal a_1..a_{m-1}
+    and det V = +-1 is the product of the folds' signs, so
+    det(B | w) = det V * a_1 ... a_{m-1} * (V_m . w): the coefficients are
+    the last row of V times that scale, which is zero exactly when the
+    vectors are dependent.  Applying the form to any w gives the full
+    determinant with w as the last column.
     """
     vs = [tuple(v) for v in vectors]
     if dimension is None:
@@ -235,15 +212,13 @@ def determinant_form(vectors, dimension=None) -> DeterminantForm:
     m = dimension
     if len(vs) != m - 1 or any(len(v) != m for v in vs):
         raise ValueError("expected m - 1 vectors of length m")
-    aug = [[v[r] for v in vs] + [1 if k == r else 0 for k in range(m)]
-           for r in range(m)]
-    pivot_rows = _eliminate(aug, m - 1)
-    if len(pivot_rows) < m - 1:
+    rows = [[0] + [int(j == k) for k in range(m)] for j in range(m)]
+    scale = 1
+    for i, v in enumerate(vs):
+        scale *= _fold(rows, v, i) * rows[i][0]
+    if not scale:
         raise DependentInputError("vectors are linearly dependent")
-    order = pivot_rows + [r for r in range(m) if r not in pivot_rows]
-    inversions = sum(a > b for j, a in enumerate(order) for b in order[j + 1:])
-    sign = -1 if inversions % 2 else 1
-    return DeterminantForm(tuple(sign * t for t in aug[order[-1]][m - 1:]))
+    return DeterminantForm(tuple(scale * t for t in rows[-1][1:]))
 
 
 @dataclass(frozen=True)
@@ -360,6 +335,8 @@ def effective_minima_bounds(dimension, index):
     m = dimension
     if m < 2:
         raise ValueError("bounds are defined for dimension >= 2")
+    if index < 1:
+        raise ValueError("index must be positive")
     half = m // 2
     fact = math.factorial(m)
     out = []

@@ -258,7 +258,7 @@ class CongruenceSystem:
     def from_json(cls, text):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             raise InvalidSystemError(f"not valid JSON: {e}") from None
         if not isinstance(data, dict) or set(data) != {"moduli", "coefficients"}:
             raise InvalidSystemError('expected an object with "moduli" and "coefficients"')

@@ -175,6 +175,8 @@ def staircase_dspan_bound(points):
 
 
 def _divisors(n):
+    if n < 1:
+        raise ValueError("index must be positive")
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
@@ -185,8 +187,6 @@ def sigma(n):
 
 def _sublattice_shapes(n):
     """(a, b, d) with a d = n and 0 <= b < d, in increasing d then b order."""
-    if n < 1:
-        raise ValueError("index must be positive")
     for d in _divisors(n):
         a = n // d
         for b in range(d):

@@ -175,6 +175,14 @@ class TestBounds:
             err = capsys.readouterr().err
             assert err.startswith("error:") and "Traceback" not in err
 
+    def test_deeply_nested_json_rejected(self, capsys):
+        # the decoder runs out of recursion depth; that is bad input, exit 2
+        depth = 100_000
+        nested = '{"moduli": ' + "[" * depth + "]" * depth + ', "coefficients": [[1]]}'
+        assert run(["bounds", "--congruence", nested]) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: not valid JSON: maximum recursion depth exceeded")
+
     def test_cap_exceeded(self, capsys):
         code, _ = run(["bounds", "--congruence", MOD5, "--cap", "1",
                        "--which", "bfield"])

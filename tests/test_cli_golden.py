@@ -5,10 +5,14 @@ every format.
 recorded from `invlat.cli.main` before the commands shared one output
 emitter; the `bounds` entries of `TWO_ROW` and of the mod-12 row, which pin
 comma-joined labels and labels sharing a factor with n, were recorded
-before `to_jsonable` stopped copying dspan's witnesses; the last three
-commands, a capped and valued `scan --family random` cell, `verify sharp`
+before `to_jsonable` stopped copying dspan's witnesses; the three
+commands after the `construct` ones, a capped and valued `scan --family random` cell, `verify sharp`
 at odd m = 5 and `verify hrd` past n = 6, were recorded before each `scan`
-and `verify` row was built once from a single tuple.  `CHANGED` lists
+and `verify` row was built once from a single tuple; the four `basis`
+commands after them, the m = 5 counterexamples (D* = +2 at n = 8, D* = -4
+at n = 6), the m = 1 system whose determinant form is that of zero vectors
+and sharp p = 11 at m = 6, were recorded before determinant forms moved
+from a Bareiss elimination onto the xgcd fold of geomnum.  `CHANGED` lists
 the outputs changed on purpose since then, with their new text; every
 other output must match the recording byte for byte.
 """
@@ -56,6 +60,10 @@ COMMANDS = [
      "--seed", "3", "--cap", "3"],
     ["verify", "sharp", "--primes", "11", "--m", "5"],
     ["verify", "hrd", "--n", "7..9"],
+    ["basis", "--construct", "counterexample:n=8"],
+    ["basis", "--construct", "counterexample:n=6"],
+    ["basis", "--congruence", '{"moduli":[5],"coefficients":[[1]]}'],
+    ["basis", "--construct", "sharp:p=11,m=6"],
 ]
 FORMATS = ("json", "csv", "pretty")
 

@@ -419,8 +419,8 @@ class TestDeterminantForm:
     @settings(max_examples=400, deadline=None)
     @given(st.data())
     def test_matches_laplace_expansion(self, data):
-        # the one elimination against cofactor expansion: equal values on
-        # every w, and a dependent verdict exactly on rank-deficient input
+        # the fold and det_fraction against cofactor expansion: equal values
+        # on every w, and a dependent verdict exactly on rank-deficient input
         m = data.draw(st.integers(1, 6), label="m")
         entry = st.integers(-4, 4)
         vecs = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m),
@@ -433,7 +433,35 @@ class TestDeterminantForm:
             with pytest.raises(DependentInputError, match="linearly dependent"):
                 determinant_form(vecs, m)
         else:
-            assert determinant_form(vecs, m).apply(w) == oracles.det_laplace(vecs + [w])
+            det = oracles.det_laplace(vecs + [w])
+            assert determinant_form(vecs, m).apply(w) == det
+            assert oracles.det_fraction(vecs + [w]) == det
+
+    def test_matches_fraction_elimination_past_laplace_range(self):
+        # m = 7..12, beyond det_laplace's m! terms, with entries up to 10^9
+        # and every fifth set at 30 digits; odd sets are sparse, so that
+        # folds end on a negative pivot and negate their row.  The form
+        # against a Fraction elimination on several w, and a dependent
+        # verdict on rank-deficient sets and on each set with one vector
+        # replaced by a combination of the others
+        rng = random.Random(28)
+        for trial in range(40):
+            m = rng.randint(7, 12)
+            bound = 10 ** 30 if trial % 5 == 0 else 10 ** 9
+            keep = 0.3 if trial % 2 else 1.0
+            vecs = [[rng.randint(-bound, bound) if rng.random() < keep else 0
+                     for _ in range(m)] for _ in range(m - 1)]
+            if oracles.rank_of(vecs) == m - 1:
+                form = determinant_form(vecs, m)
+                for _ in range(3):
+                    w = [rng.randint(-bound, bound) for _ in range(m)]
+                    assert form.apply(w) == oracles.det_fraction(vecs + [w])
+                j = rng.randrange(m - 1)
+                mult = [rng.randint(-3, 3) for _ in range(m - 1)]
+                vecs[j] = [sum(a * v[r] for k, (a, v) in enumerate(zip(mult, vecs)) if k != j)
+                           for r in range(m)]
+            with pytest.raises(DependentInputError, match="linearly dependent"):
+                determinant_form(vecs, m)
 
 
 class TestCompleteBasisShort:
@@ -765,8 +793,8 @@ class TestCompletionAgainstReference:
 
 class TestRefinementWork:
     """Timing-free work gate: neither the refinement nor the completion runs
-    a kernel or a solve; each basis takes one determinant form, and that is
-    its one fraction-free elimination."""
+    a kernel or a solve; each basis takes one determinant form, folded
+    like them on the inverse rows (_fold)."""
 
     @pytest.mark.parametrize("system", [
         sharp_case_lattice(SharpCaseSpec(53, 6)),
@@ -783,14 +811,14 @@ class TestRefinementWork:
             return wrapper
 
         for module in (geomnum, lattice_core):
-            for name in ("integer_kernel", "_eliminate", "determinant_form"):
+            for name in ("integer_kernel", "determinant_form"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         gen_deg_basis(L)
-        assert dict(calls) == {"_eliminate": 1, "determinant_form": 1}
+        assert dict(calls) == {"determinant_form": 1}
         calls.clear()
         mahler_basis(L)
-        assert dict(calls) == {"_eliminate": 1, "determinant_form": 1}
+        assert dict(calls) == {"determinant_form": 1}
 
 
 class TestEffectiveMinimaBounds:
@@ -828,6 +856,11 @@ class TestEffectiveMinimaBounds:
     def test_rejects_rank_one(self):
         with pytest.raises(ValueError):
             effective_minima_bounds(1, 5)
+
+    @pytest.mark.parametrize("index", [0, -5])
+    def test_rejects_nonpositive_index(self, index):
+        with pytest.raises(ValueError, match="index must be positive"):
+            effective_minima_bounds(3, index)
 
 
 class TestDualPairLift:

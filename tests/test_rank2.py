@@ -242,6 +242,13 @@ class TestEnumerate:
     def test_sigma(self):
         assert [sigma(n) for n in (1, 6, 8, 9, 12, 24)] == [1, 12, 15, 13, 28, 60]
 
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_nonpositive_index_rejected(self, n):
+        with pytest.raises(ValueError, match="index must be positive"):
+            sigma(n)
+        with pytest.raises(ValueError, match="index must be positive"):
+            list(enumerate_sublattices(n))
+
     def test_complete_and_distinct(self):
         rows = list(enumerate_sublattices(12))
         assert len(rows) == sigma(12)
