@@ -26,6 +26,17 @@ where that is below g every completion has f . v = 0 and the prefix is
 dropped: the depth-first prune of Fincke-Pohst.  At the root (s = 0,
 b = radius) the test is the searches' skip of the shells below
 ceil(g / max |f_i|).
+
+On a lattice presented by one row mod n (every single-row system) with
+m >= 3, the walk also prunes by reachability: the walker keeps, per suffix
+start j and budget b, the set of labels row[j:] . u mod n over the suffixes
+u of norm b as an n-bit int (reach_tables), and continues a prefix of label
+l only if -l mod n is in the set for its budget.  Every prefix it visits
+then completes to a member, so no pair solve comes back empty (in the half,
+at most the free prefix's: the tables of "all" hold a superset of what it
+reaches).  The test is ANDed with the form prune.  Tables that would hold
+more than REACH_BITS bits are not built: multi-row presentations, bare
+bases and the shells of large n walk without the test.
 """
 
 from __future__ import annotations
@@ -106,6 +117,50 @@ def trailing_pairs(progressions, D, b, cx, cy, free):
     return hits
 
 
+REACH_BITS = 1 << 19  # the most bits the label tables of one walker hold
+
+
+def reach_tables(row, n, nonneg):
+    """Return reach(radius): the label tables of row mod n, grown up to
+    radius, or None once they would hold more than REACH_BITS bits.
+
+    reach(radius)[j][b], for 1 <= j <= m and b <= radius, is an n-bit int
+    whose bit t is set iff some suffix u of norm exactly b over coordinates
+    j.. (nonnegative ones in mode nonnegative) has row[j:] . u = t mod n.
+    With P[j][b] and N[j][b] the labels of the suffixes with u_j >= 1 and
+    u_j <= -1, and rot(x, c) the rotation of the n bits by c,
+      P[j][b] = rot(R[j + 1][b - 1] | P[j][b - 1], row_j)
+      N[j][b] = rot(R[j + 1][b - 1] | N[j][b - 1], -row_j)
+      R[j][b] = R[j + 1][b] | P[j][b] | N[j][b]
+    so each (j, b) costs a few int operations; only the last P and N are
+    kept.  The tables of mode "all" serve "half" too.
+    """
+    m = len(row)
+    tables = [[] for _ in range(m + 1)]
+    pos, neg = [0] * m, [0] * m
+
+    def reach(radius):
+        if n * m * (radius + 1) > REACH_BITS:
+            return None
+        full = (1 << n) - 1
+        for b in range(len(tables[m]), radius + 1):
+            below = int(b == 0)
+            tables[m].append(below)
+            for j in range(m - 1, 0, -1):
+                if b:
+                    c, last = row[j], tables[j + 1][b - 1]
+                    x = last | pos[j]
+                    pos[j] = (x << c | x >> n - c) & full
+                    if not nonneg:
+                        x = last | neg[j]
+                        neg[j] = (x >> c | x << n - c) & full
+                below |= pos[j] | neg[j]
+                tables[j].append(below)
+        return tables
+
+    return reach
+
+
 def shell_walker(L, mode="all"):
     """Return walk(radius, form=None), the members of L with l1norm ==
     radius, sorted.
@@ -113,7 +168,8 @@ def shell_walker(L, mode="all"):
     walk(d) is exactly [v for v in shell_points(L.dimension, d, mode) if v in
     L], without visiting the non-members; mode "half" keeps of the "all"
     shell only the members whose first nonzero coordinate is negative.  It
-    keeps nothing from one shell to the next.
+    keeps nothing from one shell to the next but the label tables, grown
+    to the largest radius asked.
 
     walk(d, (f, g)), g the gcd of the form f over L.columns, drops the
     prefixes that cannot leave ker f (see the module docstring): it yields,
@@ -135,6 +191,10 @@ def shell_walker(L, mode="all"):
     The half is pruned in the recursion, not filtered: while the prefix is
     all zero (free), a coordinate runs over [-budget, 0] only, and the last
     two drop the x > 0 progressions but keep x = 0, y = -b.
+
+    With one modulus n it also carries want = -(row . prefix) mod n and
+    drops a prefix whose want the label tables do not reach on its budget,
+    the last prefix coordinate included, so a dead prefix costs no solve.
     """
     m = L.dimension
     _check_shell_args(m, 0, mode, LATTICE_MODES)
@@ -171,7 +231,11 @@ def shell_walker(L, mode="all"):
         inverse = pow(alpha // g, -1, period)
         progressions.append((sx, sy, g, period, inverse, D * period))
 
-    def stream(prefix, i, budget, carry, free, s, prune):
+    rows, moduli = L.presentation
+    row, n = rows[0], moduli[0]
+    reach = reach_tables(row, n, nonneg) if len(moduli) == 1 else lambda radius: None
+
+    def stream(prefix, i, budget, carry, free, s, prune, want, tables):
         col = cols[i]
         d = col[i]
         lo = 0 if nonneg else -budget
@@ -183,40 +247,53 @@ def shell_walker(L, mode="all"):
             # |s + f_i first| + (budget - |first|) * tops[i + 1] < g
             f, tops, g = prune
             fi, top = f[i], tops[i + 1]
+        if tables:
+            # want is -(row . prefix) mod n; the prefix extended by first is
+            # dropped when no suffix of norm b reaches want - row_i first
+            sets, step = tables[i + 1], row[i] * d
+            want = (want - row[i] * start) % n
         if i == m - 3:
             # the last prefix coordinate: step only the pair's carries
             tx, ty = col[m - 2], col[m - 1]
             cx, cy = carry[1] + q * tx, carry[2] + q * ty
             for first in range(start, stop, d):
                 b = budget - abs(first)
-                if not prune or abs(s + fi * first) + b * top >= g:
+                if (not prune or abs(s + fi * first) + b * top >= g) and \
+                        (not tables or sets[b] >> want & 1):
                     hits = trailing_pairs(progressions, D, b, cx, cy, free and first == 0)
                     if hits:
                         yield from map((prefix + (first,)).__add__, hits)
                 cx += tx
                 cy += ty
+                if tables:
+                    want = (want - step) % n
             return
         tail = col[i + 1:]
         nxt = [c + q * t for c, t in zip(carry[1:], tail)]
         for first in range(start, stop, d):
             b = budget - abs(first)
-            if not prune or abs(s + fi * first) + b * top >= g:
+            if (not prune or abs(s + fi * first) + b * top >= g) and \
+                    (not tables or sets[b] >> want & 1):
                 yield from stream(prefix + (first,), i + 1, b, nxt, free and first == 0,
-                                  s + fi * first if prune else 0, prune)
+                                  s + fi * first if prune else 0, prune, want, tables)
             nxt = [c + t for c, t in zip(nxt, tail)]
+            if tables:
+                want = (want - step) % n
 
     def walk(radius, form=None):
         _check_shell_args(m, radius, mode, LATTICE_MODES)
         if m == 2:
             yield from trailing_pairs(progressions, D, radius, 0, 0, half)
-        elif form is not None:
+            return
+        prune = None
+        if form is not None:
             f, g = form
             tops = [0] * (m + 1)
             for i in reversed(range(m)):
                 tops[i] = max(tops[i + 1], abs(f[i]))
-            if radius * tops[0] >= g:
-                yield from stream((), 0, radius, [0] * m, half, 0, (f, tops, g))
-        else:
-            yield from stream((), 0, radius, [0] * m, half, 0, None)
+            if radius * tops[0] < g:
+                return
+            prune = (f, tops, g)
+        yield from stream((), 0, radius, [0] * m, half, 0, prune, 0, reach(radius))
 
     return walk

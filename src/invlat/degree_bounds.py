@@ -26,7 +26,9 @@ sharp lattices, shells 1..3, then r, the answer.
 The same bound prunes inside a shell: the walker is given (f, g) and drops
 every prefix whose completions all have |f . v| < g (ball_enum), of which
 the skip is the root case; on the sharp (53, 6) answer shell it yields 37 of
-8,458 members.
+8,458 members.  On a one-row lattice the walker also drops every prefix
+that completes to no member of the shell, by tables of the labels its
+suffixes reach, so every prefix it visits completes to a member.
 dspan is a breadth-first search over the coset labels of L.presentation,
 one layer per norm, whose witnesses are the minimal-norm, lex-least
 representatives: the points a walk of the nonnegative shells would hit first.

@@ -2,7 +2,7 @@
 
 Results always come back in input order, so a parallel run is byte-for-byte
 identical to a sequential one; a worker count of 1 runs the items in the
-calling process.
+calling process.  Each worker gets one strided part of the items per call.
 
 The pool is created at the first call that needs more than one worker and
 reused by every later call in the process, including later `cli.main` calls,
@@ -70,9 +70,26 @@ def _shutdown_pool():
 atexit.register(_shutdown_pool)
 
 
+def _run_part(fn, items):
+    """fn over one part of the items, in order, up to the first failure:
+    (results, None), or (results before it, the exception)."""
+    results = []
+    try:
+        for x in items:
+            results.append(fn(x))
+    except Exception as exc:
+        return results, exc
+    return results, None
+
+
 def parallel_map(fn, items, jobs=1):
     """[fn(x) for x in items], spread over up to `jobs` workers of the
-    process's pool."""
+    process's pool.
+
+    Worker k gets one task, the strided part items[k::workers], so a call
+    pays one pool round trip per worker, and the results are interleaved
+    back.  A part stops at its first failure; the exception of the lowest
+    failing index, the one the serial loop meets first, is raised here."""
     global _pool
     items = list(items)
     workers = worker_count(jobs, len(items), usable_cpus())
@@ -86,7 +103,15 @@ def parallel_map(fn, items, jobs=1):
         _pool = (workers, ProcessPoolExecutor(max_workers=workers))
     pool = _pool[1]
     try:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
+        parts = [f.result() for f in [pool.submit(_run_part, fn, items[k::workers])
+                                      for k in range(workers)]]
     except BrokenProcessPool:
         _shutdown_pool()
         raise
+    failed = [(k + len(done) * workers, exc) for k, (done, exc) in enumerate(parts) if exc]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    results = [None] * len(items)
+    for k, (done, _) in enumerate(parts):
+        results[k::workers] = done
+    return results

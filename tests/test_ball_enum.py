@@ -187,13 +187,16 @@ def test_lattice_shell_points_trailing_block_with_offset():
 
 def counting_solves(monkeypatch):
     """Count the trailing_pairs calls through the MonkeyPatch; returns a
-    one-item list holding the count."""
+    list holding the count of calls and the count of those that found
+    nothing."""
     solve = ball_enum.trailing_pairs
-    solves = [0]
+    solves = [0, 0]
 
     def counting(*args):
+        hits = solve(*args)
         solves[0] += 1
-        return solve(*args)
+        solves[1] += not hits
+        return hits
 
     monkeypatch.setattr(ball_enum, "trailing_pairs", counting)
     return solves
@@ -205,13 +208,15 @@ def counting_solves(monkeypatch):
     ("all", 8361),
 ])
 def test_walk_solves_the_pair_once_per_prefix(monkeypatch, mode, solves_pinned):
-    # Work gate on one plain walker over the sharp (23, 6) shells 0..8, as
-    # a search that holds no form walks them: the walk streams and solves
-    # the last two coordinates once per admissible prefix of the first four,
-    # with no table of suffixes.  The Hermite diagonal is (1, 1, 1, 1, 1,
-    # 23), so every prefix of norm <= d is admissible on shell d, and the
-    # solves are the points of the 4-dimensional balls of radius 0..8 in
-    # the walk's mode: 1,287, 4,185 and 8,361.
+    # Work gate on one plain walker without label tables (REACH_BITS = 0,
+    # as for a modulus too large for them) over the sharp (23, 6) shells
+    # 0..8, as a search that holds no form walks them: the walk streams and
+    # solves the last two coordinates once per admissible prefix of the
+    # first four, with no table of suffixes.  The Hermite diagonal is (1, 1,
+    # 1, 1, 1, 23), so every prefix of norm <= d is admissible on shell d,
+    # and the solves are the points of the 4-dimensional balls of radius
+    # 0..8 in the walk's mode: 1,287, 4,185 and 8,361.
+    monkeypatch.setattr(ball_enum, "REACH_BITS", 0)
     L = sharp_lattice(23, 6)
     assert [L.columns[i][i] for i in range(6)] == [1] * 5 + [23]
     solves = counting_solves(monkeypatch)
@@ -220,6 +225,100 @@ def test_walk_solves_the_pair_once_per_prefix(monkeypatch, mode, solves_pinned):
         assert list(walk(d)) == reference_shell(L, d, mode), (mode, d)
     assert solves[0] == solves_pinned == sum(ball_count(4, d, mode) for d in range(9)), \
         solves[0]
+
+
+@pytest.mark.parametrize("mode, solves_pinned, empty_most", [
+    ("nonnegative", 153, 0),
+    ("half", 401, 1),
+    ("all", 797, 0),
+])
+def test_walk_solves_the_pair_for_reachable_prefixes(monkeypatch, mode, solves_pinned,
+                                                     empty_most):
+    # The same walk with the label tables: a prefix goes on only if some
+    # suffix of its budget reaches the label it lacks, so the pair is solved
+    # only for the prefixes that complete to a member of the shell, 153,
+    # 401 and 797 of the 1,287, 4,185 and 8,361, and no solve is empty but,
+    # in the half, one on shell 0, whose all-zero (free) prefix the tables of
+    # "all" let through.
+    L = sharp_lattice(23, 6)
+    solves = counting_solves(monkeypatch)
+    walk = shell_walker(L, mode)
+    for d in range(9):
+        assert list(walk(d)) == reference_shell(L, d, mode), (mode, d)
+    assert solves[0] == solves_pinned and solves[1] <= empty_most, solves
+
+
+def one_row_form(n, row):
+    """The row as a form, its residues centred on 0 as the sharp forms are."""
+    return tuple((c + n // 2) % n - n // 2 for c in row)
+
+
+@pytest.mark.parametrize("mode", LATTICE_MODES)
+@pytest.mark.parametrize("bits", [0, "to shell 3"])
+def test_walk_without_tables_against_reference(monkeypatch, mode, bits):
+    # Above REACH_BITS the walk runs without the label test: with no table
+    # at all, and with tables up to shell 3 only, one walker equals the
+    # reference shell by shell in every mode, and with a form yields the
+    # reference's members off the form, in order.
+    for n, row in SINGLE_ROWS:
+        for m in (3, 4, 6):
+            cap = n * m * 4 if bits else 0
+            monkeypatch.setattr(ball_enum, "REACH_BITS", cap)
+            L = from_congruences(CongruenceSystem((n,), (row[:m],)))
+            f = one_row_form(n, row[:m])
+            g = degree_bounds._form_gcd(f, L)
+            walk = shell_walker(L, mode)
+            for d in range(7 if m < 6 else 6):
+                reference = reference_shell(L, d, mode)
+                assert list(walk(d)) == reference, (L, mode, d)
+                off = [v for v in walk(d, (f, g)) if sum(map(mul, f, v))]
+                assert off == [v for v in reference if sum(map(mul, f, v))], (L, mode, d)
+
+
+def test_tables_at_the_cap_stay_within_their_bits():
+    # The largest modulus whose tables reach shell 20 in m = 6: the tables
+    # of all 21 shells hold about REACH_BITS / 8 bytes, and shell 21 is
+    # walked without them.  The walk over shells 0..20 keeps the tables and
+    # one streaming shell.
+    m, radius = 6, 20
+    n = ball_enum.REACH_BITS // (m * (radius + 1))
+    row = (1, 343, 2401, 16807 % n, 17646 % n, 23519 % n)
+    reach = ball_enum.reach_tables(row, n, False)
+    tracemalloc.start()
+    try:
+        reach(radius)
+        tables = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reach(radius + 1) is None
+    assert tables < ball_enum.REACH_BITS // 8 + 8 * 1024, tables
+    L = from_congruences(CongruenceSystem((n,), (row,)))
+    tracemalloc.start()
+    try:
+        walk = shell_walker(L, "half")
+        for d in range(radius + 1):
+            for _ in walk(d):
+                pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ball_enum.REACH_BITS // 8 + 16 * 1024, peak
+
+
+def test_walker_over_a_large_modulus_allocates_no_table():
+    # Modulo 10^9 + 7 every shell is above the cap: the walker allocates
+    # nothing of n bits, not even the mask of the rotations.
+    L = from_congruences(CongruenceSystem((10**9 + 7,), ((1, 2, 3, 5, 7, 11),)))
+    tracemalloc.start()
+    try:
+        walk = shell_walker(L, "half")
+        for d in range(4):
+            for _ in walk(d):
+                pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
 
 
 # (n, row): a prime, a row with gcd(n, row) = 2, and a row whose first pivot

@@ -22,6 +22,16 @@ def cube_mod(x):
     return pow(x, 3, 1009), x
 
 
+def fail_at_3_4_7(x):
+    if x in (3, 4, 7):
+        raise ValueError(x)
+    return x
+
+
+def fail_at_4_7(x):
+    return fail_at_3_4_7(x) if x != 3 else x
+
+
 def exit_in_worker(parent):
     if os.getpid() != parent:
         os._exit(3)
@@ -51,6 +61,23 @@ def test_pool_is_reused_across_calls(two_cpus):
 def test_results_equal_serial_results_in_order(two_cpus):
     items = list(range(50))
     assert parallel_map(cube_mod, items, 2) == [cube_mod(x) for x in items]
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 5, 50])
+def test_strided_parts_equal_serial_results(two_cpus, count):
+    # each worker gets items[k::2] as one task; the parts interleave back
+    items = [x * 7 - 20 for x in range(count)]
+    assert parallel_map(cube_mod, items, 2) == [cube_mod(x) for x in items]
+
+
+@pytest.mark.parametrize("fn, lowest", [(fail_at_3_4_7, 3), (fail_at_4_7, 4)])
+def test_lowest_failing_index_is_raised(two_cpus, fn, lowest):
+    # the parts are the evens and the odds: the failure the serial loop
+    # meets first is raised, whichever part holds it, as with one worker
+    for jobs in (1, 2):
+        with pytest.raises(ValueError) as err:
+            parallel_map(fn, range(10), jobs)
+        assert err.value.args == (lowest,)
 
 
 def test_broken_pool_is_replaced(two_cpus):

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from invlat import rank2
+from invlat import ball_enum, rank2
 from invlat.degree_bounds import dspan
 from invlat.lattice_core import CongruenceSystem, LatticeBasis, from_congruences, l1norm, weight
 from invlat.rank2 import (
@@ -401,6 +401,30 @@ class TestSpotChecks:
         L = LatticeBasis.from_generators([(5, -4), (0, 100)])
         monkeypatch.setattr(rank2, "dspan", lambda L: SimpleNamespace(witnesses={0: (5, 0)}))
         assert blob_check(L) == (False, {"point": (5, -4), "witness": (5, 0)})
+
+    def test_blob_walk_solves_only_reachable_prefixes(self, monkeypatch):
+        # Work gate on (1, 2, 5, 11, 17, 23) mod 29, whose blob check walks
+        # every all-orthant shell up to 6 with no form: the label tables let
+        # the walk solve the last two coordinates 285 times, never in vain;
+        # without them (REACH_BITS = 0) it takes 2,471 solves, 2,186 of them
+        # empty, for the same result.
+        L = kernel(29, (1, 2, 5, 11, 17, 23))
+        solve = ball_enum.trailing_pairs
+        results = []
+        for bits in (ball_enum.REACH_BITS, 0):
+            solves = [0, 0]
+
+            def counting(*args):
+                hits = solve(*args)
+                solves[0] += 1
+                solves[1] += not hits
+                return hits
+
+            monkeypatch.setattr(ball_enum, "REACH_BITS", bits)
+            monkeypatch.setattr(ball_enum, "trailing_pairs", counting)
+            results.append((blob_check(L), solves))
+        assert results == [((True, {"witnesses": 29, "radius": 6}), [285, 0]),
+                           ((True, {"witnesses": 29, "radius": 6}), [2471, 2186])]
 
     def test_structure_violation_importable(self):
         assert issubclass(StructureViolation, RuntimeError)
