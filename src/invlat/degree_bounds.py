@@ -180,11 +180,13 @@ def _generation_search(L, mode, which, cap):
     While the start (in m = 1, where the empty acc is L ∩ ker f) or a
     shell's end left the accumulator saturated at rank m - 1,
     _saturated_form's f tests each member with one dot product instead of
-    a reduction; the next add drops f.  While f is kept, no shell below
-    r = _off_form_radius(f, L) holds a witness: the next is max(d + 1, r),
-    and its walk prunes the prefixes that cannot leave ker f.  A walk keeps
-    its (f, g) after an add drops f: what it prunes lies in L ∩ ker f, which
-    is inside the accumulator, and that only grows.
+    a reduction; the next add drops f.  f carries its gcd g over L, found
+    once by the saturation test, and r = _off_form_radius(f, L) is taken
+    once with f: while f is kept, no shell below r holds a witness, the
+    next is max(d + 1, r), and its walk prunes the prefixes that cannot
+    leave ker f.  A walk keeps its (f, g) after an add drops f: what it
+    prunes lies in L ∩ ker f, which is inside the accumulator, and that
+    only grows.
     The span of acc is the span of the adds that raised its rank, so those
     adds are the first members outside the span of the ones before: on the
     half walk, the successive minima witnesses in walk order.
@@ -195,8 +197,9 @@ def _generation_search(L, mode, which, cap):
     while True:
         if grew:
             form = _saturated_form(acc, L) if acc.rank == L.dimension - 1 else None
-            held = form and (form, _form_gcd(form, L))
-        d = max(d + 1, _off_form_radius(form, L)) if form else d + 1
+            held = form and (form, form.gcd)
+            skip = _off_form_radius(form, L) if form else 0
+        d = max(d + 1, skip)
         if d > cap:
             raise CapExceededError(which, cap)
         grew = False
@@ -225,15 +228,27 @@ def _form_gcd(f, L):
     return gcd(*[sum(map(mul, f, col)) for col in L.columns])
 
 
+class _Form(tuple):
+    """A form f that _saturated_form took, with g = _form_gcd(f, L) as
+    .gcd, so that g is computed once per form."""
+
+    def __new__(cls, f, g):
+        form = super().__new__(cls, f)
+        form.gcd = g
+        return form
+
+
 def _off_form_radius(f, L):
-    """ceil(g / max |f_i|), g = _form_gcd(f, L): a v in L with f . v != 0
-    has g <= |f . v| <= max |f_i| * ||v||_1, so norm >= it."""
-    return -(-_form_gcd(f, L) // max(map(abs, f)))
+    """ceil(g / max |f_i|), g the gcd of f over L (a _Form's own): a v in L
+    with f . v != 0 has g <= |f . v| <= max |f_i| * ||v||_1, so norm >= it."""
+    g = f.gcd if isinstance(f, _Form) else _form_gcd(f, L)
+    return -(-g // max(map(abs, f)))
 
 
 def _saturated_form(acc, L):
     """The primitive form f vanishing on acc, a GeneratedLattice of rank
-    m - 1, if acc is all of L ∩ ker f; None otherwise.
+    m - 1, as a _Form holding its gcd g over L, if acc is all of L ∩ ker f;
+    None otherwise.
 
     s is the one row without a pivot.  Every column right of it is zero
     above its positive pivot, so f vanishes on them only if f_k = 0 for
@@ -262,7 +277,8 @@ def _saturated_form(acc, L):
     c = gcd(*f)
     f = [x // c for x in f]
     pivots = prod(col[j] for j, col in enumerate(cols) if col is not None)
-    return f if pivots // f[s] * _form_gcd(f, L) == L.index else None
+    g = _form_gcd(f, L)
+    return _Form(f, g) if pivots // f[s] * g == L.index else None
 
 
 def bfield(L, cap=None) -> DegreeBoundReport:

@@ -1,30 +1,23 @@
-"""Deterministic fan-out over one process pool per process.
-
-Results always come back in input order, so a parallel run is byte-for-byte
-identical to a sequential one; a worker count of 1 runs the items in the
-calling process.  Each worker gets one strided part of the items per call.
-
-The pool is created at the first call that needs more than one worker and
-reused by every later call in the process, including later `cli.main` calls,
-so a sweep pays the fork once rather than once per call.  The pool module
-(`concurrent.futures.process`, and with it `multiprocessing`) is imported at
-that first fan-out too, so a process that never fans out never loads it.
-Its workers are forked once, at that first fan-out: a monkeypatch made after
-it does not reach them.  A call that needs a different worker count shuts
-the live pool down and joins it before the next one forks.  A pool broken by
-a dead worker is dropped after the call that found it broken, and the next
-call starts a fresh one.  An exit hook shuts the pool down and drops it at
-interpreter exit, while the pool module is still whole.
+"""Deterministic fan-out: the caller runs one strided part, forked workers the
+others, and the results come back in input order, as in a serial run.  With w
+workers the caller sends (fn, items[k::w]), k >= 1, down each of w - 1 worker
+pipes, runs items[0::w] itself, then receives the other parts.  The workers
+are forked, and `multiprocessing` imported, at the first call that needs them,
+and reused by later calls with the same count.  A worker stops at the message
+None: its fork holds copies of the caller's pipe ends and would see no EOF.
+Any other way out between a call's sends and its receives kills and joins
+every worker, so no stale reply reaches a later call.
 """
 
 from __future__ import annotations
 
 import atexit
 import os
+from contextlib import suppress
 
 ENV_THREADS = "INVLAT_THREADS"
 
-_pool = None  # (worker count, executor) of this process's pool, once one is made
+_workers = []  # (process, caller's pipe end) of this process's forked workers
 
 
 def resolve_jobs(flag=None):
@@ -56,18 +49,22 @@ def worker_count(jobs, n_items, cpus):
     return max(1, min(jobs, cpus, n_items))
 
 
-def _shutdown_pool():
-    """Shut the process's pool down, join it and drop it; a no-op without
-    one.  At exit it runs before the modules are torn down: a pool collected
-    after `concurrent.futures.process` is gone makes its weakref callback
-    fail with `Exception ignored in: ... weakref_cb`."""
-    global _pool
-    if _pool is not None:
-        _pool[1].shutdown(wait=True)
-        _pool = None
+def _stop_workers(kill=False):
+    """Stop each worker, by the message None or by SIGKILL, and join it."""
+    for proc, conn in _workers:
+        with suppress(OSError):  # it died since the last call
+            proc.kill() if kill else conn.send(None)
+        proc.join()
+    _workers.clear()
 
 
-atexit.register(_shutdown_pool)
+def _serve(conn):
+    """A worker: close its copies of the caller's pipe ends, serve parts till None or EOF."""
+    while _workers:
+        _workers.pop()[1].close()
+    with suppress(EOFError):
+        while (task := conn.recv()) is not None:
+            conn.send(_run_part(*task))
 
 
 def _run_part(fn, items):
@@ -83,30 +80,33 @@ def _run_part(fn, items):
 
 
 def parallel_map(fn, items, jobs=1):
-    """[fn(x) for x in items], spread over up to `jobs` workers of the
-    process's pool.
-
-    Worker k gets one task, the strided part items[k::workers], so a call
-    pays one pool round trip per worker, and the results are interleaved
-    back.  A part stops at its first failure; the exception of the lowest
-    failing index, the one the serial loop meets first, is raised here."""
-    global _pool
+    """[fn(x) for x in items] over the caller and up to jobs - 1 workers, one
+    strided part each, interleaved back.  A part stops at its first failure;
+    the exception of the lowest failing index, the serial loop's, is raised."""
     items = list(items)
     workers = worker_count(jobs, len(items), usable_cpus())
     if workers == 1:
         return [fn(x) for x in items]
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-    if _pool is not None and _pool[0] != workers:
-        _shutdown_pool()
-    if _pool is None:
-        _pool = (workers, ProcessPoolExecutor(max_workers=workers))
-    pool = _pool[1]
+    if len(_workers) != workers - 1:
+        _stop_workers()
+        import multiprocessing
+        for _ in range(workers - 1):
+            conn, child = multiprocessing.Pipe()
+            _workers.append((multiprocessing.Process(target=_serve, args=(child,)), conn))
+            _workers[-1][0].start()
+            child.close()
+        atexit.unregister(_stop_workers)  # after multiprocessing's hook, which
+        atexit.register(_stop_workers)  # joins children, so this runs first
     try:
-        parts = [f.result() for f in [pool.submit(_run_part, fn, items[k::workers])
-                                      for k in range(workers)]]
-    except BrokenProcessPool:
-        _shutdown_pool()
+        for k, (proc, conn) in enumerate(_workers, 1):
+            conn.send((fn, items[k::workers]))
+        parts = [_run_part(fn, items[::workers])]
+        for proc, conn in _workers:
+            parts.append(conn.recv())
+    except BaseException as exc:
+        _stop_workers(kill=True)
+        if isinstance(exc, (EOFError, ConnectionError)):  # proc is dead
+            raise RuntimeError(f"fan-out worker exited with code {proc.exitcode}") from None
         raise
     failed = [(k + len(done) * workers, exc) for k, (done, exc) in enumerate(parts) if exc]
     if failed:

@@ -612,6 +612,39 @@ class TestSaturatedForm:
             assert ("form", None) not in events
         assert all(c <= limit for c, limit in zip(counts, limits)), (counts, limits)
 
+    @pytest.mark.parametrize("system, taken", [
+        # bfield holds its form over three shells, which took 5 gcds
+        (CongruenceSystem((53,), ((30, 50, 16),)), [1, 1]),
+        (sharp_case_lattice(SharpCaseSpec(23, 6)), [1, 1]),
+        # bfield's rank-4 accumulator is unsaturated: its form is not taken
+        (UNSATURATED_ROWS[0], [1, 0]),
+    ], ids=str)
+    def test_form_gcd_once_per_tried_form(self, monkeypatch, system, taken):
+        # work gate: g, the gcd of f over L, is computed once per form, by
+        # the saturation test, and a taken form carries it to the off-form
+        # radius and the walk's prune (it was computed again for each and
+        # again per shell while f was held)
+        L = from_congruences(system)
+        reference = [generation_outcome(slow, L, None) for _, slow in self.REFERENCES]
+        form_gcd, calls = degree_bounds._form_gcd, []
+
+        def counted(f, L):
+            calls.append(tuple(f))
+            return form_gcd(f, L)
+
+        monkeypatch.setattr(degree_bounds, "_form_gcd", counted)
+        events = record_form_tests(monkeypatch)
+        got = []
+        for (fast, _), ref in zip(self.REFERENCES, reference):
+            calls.clear()
+            events.clear()
+            assert generation_outcome(fast, L, None) == ref
+            forms = [e[1] for e in events if e[0] == "form"]
+            assert len(calls) == len(forms), (calls, forms)
+            assert {tuple(f) for f in forms if f} <= set(calls)
+            got.append(sum(f is not None for f in forms))
+        assert got == taken
+
 
 class TestRelations:
     def test_examples(self):
