@@ -23,9 +23,9 @@ passes (f, g) to walk, g the gcd of f over L, which divides f . v for every
 member v.  A prefix v_0 .. v_{i-1} with s = f_0 v_0 + .. + f_{i-1} v_{i-1}
 and budget b completes only to |f . v| <= |s| + b * max_{k >= i} |f_k|, so
 where that is below g every completion has f . v = 0 and the prefix is
-dropped: the depth-first prune of Fincke-Pohst.  At the root (s = 0,
-b = radius) the test is the searches' skip of the shells below
-ceil(g / max |f_i|).
+dropped: the depth-first prune of Fincke-Pohst.  The searches skip the
+shells below ceil(g / max |f_i|) themselves; on a walk of one of those the
+first coordinate (s = 0, b = radius) already drops every prefix.
 
 On a lattice presented by one row mod n (every single-row system) with
 m >= 3, the walk also prunes by reachability: the walker keeps, per suffix
@@ -288,12 +288,7 @@ def shell_walker(L, mode="all"):
         prune = None
         if form is not None:
             f, g = form
-            tops = [0] * (m + 1)
-            for i in reversed(range(m)):
-                tops[i] = max(tops[i + 1], abs(f[i]))
-            if radius * tops[0] < g:
-                return
-            prune = (f, tops, g)
+            prune = (f, [max(map(abs, f[i:]), default=0) for i in range(m + 1)], g)
         yield from stream((), 0, radius, [0] * m, half, 0, prune, 0, reach(radius))
 
     return walk

@@ -20,15 +20,15 @@ A walked member grows the accumulator iff it is not in it, a reduction over
 m rows, until a shell leaves the accumulator at rank m - 1 and saturated,
 equal to L ∩ ker f for the primitive form f that vanishes on it; from then
 until the next add, f . v != 0 decides, one dot product per member.
-A v in L has g | f . v, g the gcd of f over L, so no shell below
-r = ceil(g / max |f_i|) holds a new witness and none is walked: on the
-sharp lattices, shells 1..3, then r, the answer.
+A v in L off ker f has g <= |f . v| <= max |f_i| * ||v||_1, g the gcd of f
+over L, so the search skips the shells below r = ceil(g / max |f_i|): on
+the sharp lattices it walks shells 1..3, then r, the answer.
 The same bound prunes inside a shell: the walker is given (f, g) and drops
-every prefix whose completions all have |f . v| < g (ball_enum), of which
-the skip is the root case; on the sharp (53, 6) answer shell it yields 37 of
-8,458 members.  On a one-row lattice the walker also drops every prefix
-that completes to no member of the shell, by tables of the labels its
-suffixes reach, so every prefix it visits completes to a member.
+every prefix whose completions all have |f . v| < g (ball_enum), on a shell
+below r every first coordinate; on the sharp (53, 6) answer shell it yields
+37 of 8,458 members.  On a one-row lattice the walker also drops every
+prefix that completes to no member of the shell, by tables of the labels
+its suffixes reach, so every prefix it visits completes to a member.
 dspan is a breadth-first search over the coset labels of L.presentation,
 one layer per norm, whose witnesses are the minimal-norm, lex-least
 representatives: the points a walk of the nonnegative shells would hit first.
@@ -178,15 +178,15 @@ def _generation_search(L, mode, which, cap):
     the shell already lies in the accumulator, so none could be a witness.
     Shell 0 holds only 0, which acc contains, so the walk starts at 1.
     While the start (in m = 1, where the empty acc is L ∩ ker f) or a
-    shell's end left the accumulator saturated at rank m - 1,
-    _saturated_form's f tests each member with one dot product instead of
-    a reduction; the next add drops f.  f carries its gcd g over L, found
-    once by the saturation test, and r = _off_form_radius(f, L) is taken
-    once with f: while f is kept, no shell below r holds a witness, the
-    next is max(d + 1, r), and its walk prunes the prefixes that cannot
-    leave ker f.  A walk keeps its (f, g) after an add drops f: what it
-    prunes lies in L ∩ ker f, which is inside the accumulator, and that
-    only grows.
+    shell's end left the accumulator saturated at rank m - 1, held is the
+    pair (f, g) _saturated_form returns, and f tests each member with one
+    dot product instead of a reduction; the next add drops the pair.  g,
+    the gcd of f over L, is found once by the saturation test, and the
+    skip r = ceil(g / max |f_i|) once per pair: while it is held, no shell
+    below r holds a witness, the next is max(d + 1, r), and its walk
+    prunes the prefixes that cannot leave ker f.  A walk keeps its pair
+    after an add drops it: what it prunes lies in L ∩ ker f, which is
+    inside the accumulator, and that only grows.
     The span of acc is the span of the adds that raised its rank, so those
     adds are the first members outside the span of the ones before: on the
     half walk, the successive minima witnesses in walk order.
@@ -196,21 +196,20 @@ def _generation_search(L, mode, which, cap):
     d, grew = 0, True
     while True:
         if grew:
-            form = _saturated_form(acc, L) if acc.rank == L.dimension - 1 else None
-            held = form and (form, form.gcd)
-            skip = _off_form_radius(form, L) if form else 0
+            held = _saturated_form(acc, L) if acc.rank == L.dimension - 1 else None
+            skip = -(-held[1] // max(map(abs, held[0]))) if held else 0
         d = max(d + 1, skip)
         if d > cap:
             raise CapExceededError(which, cap)
         grew = False
         for v in walk(d, held):
-            if (v not in acc) if form is None else sum(map(mul, form, v)) != 0:
+            if (v not in acc) if held is None else sum(map(mul, held[0], v)) != 0:
                 rank = acc.rank
                 acc.add(v)
                 yield d, v, acc.rank > rank
                 if acc.index == L.index:
                     return
-                form, grew = None, True
+                held, grew = None, True
 
 
 def _generation_bound(L, mode, which, cap):
@@ -222,33 +221,10 @@ def _generation_bound(L, mode, which, cap):
     return DegreeBoundReport(which, radii[-1], witnesses, L.index, cap)
 
 
-def _form_gcd(f, L):
-    """g, the gcd of f over L.columns: f . v is a multiple of g for every
-    v in L, so |f . v| < g forces f . v = 0."""
-    return gcd(*[sum(map(mul, f, col)) for col in L.columns])
-
-
-class _Form(tuple):
-    """A form f that _saturated_form took, with g = _form_gcd(f, L) as
-    .gcd, so that g is computed once per form."""
-
-    def __new__(cls, f, g):
-        form = super().__new__(cls, f)
-        form.gcd = g
-        return form
-
-
-def _off_form_radius(f, L):
-    """ceil(g / max |f_i|), g the gcd of f over L (a _Form's own): a v in L
-    with f . v != 0 has g <= |f . v| <= max |f_i| * ||v||_1, so norm >= it."""
-    g = f.gcd if isinstance(f, _Form) else _form_gcd(f, L)
-    return -(-g // max(map(abs, f)))
-
-
 def _saturated_form(acc, L):
-    """The primitive form f vanishing on acc, a GeneratedLattice of rank
-    m - 1, as a _Form holding its gcd g over L, if acc is all of L ∩ ker f;
-    None otherwise.
+    """(f, g) for the primitive form f vanishing on acc, a GeneratedLattice
+    of rank m - 1, and g its gcd over L, if acc is all of L ∩ ker f; None
+    otherwise.
 
     s is the one row without a pivot.  Every column right of it is zero
     above its positive pivot, so f vanishes on them only if f_k = 0 for
@@ -277,8 +253,8 @@ def _saturated_form(acc, L):
     c = gcd(*f)
     f = [x // c for x in f]
     pivots = prod(col[j] for j, col in enumerate(cols) if col is not None)
-    g = _form_gcd(f, L)
-    return _Form(f, g) if pivots // f[s] * g == L.index else None
+    g = gcd(*[sum(map(mul, f, col)) for col in L.columns])
+    return (f, g) if pivots // f[s] * g == L.index else None
 
 
 def bfield(L, cap=None) -> DegreeBoundReport:

@@ -59,12 +59,19 @@ def _stop_workers(kill=False):
 
 
 def _serve(conn):
-    """A worker: close its copies of the caller's pipe ends, serve parts till None or EOF."""
+    """A worker: close its copies of the caller's pipe ends, serve parts till None
+    or EOF.  A reply that does not pickle gets a TypeError at its first bad item."""
+    from multiprocessing.reduction import ForkingPickler
     while _workers:
         _workers.pop()[1].close()
     with suppress(EOFError):
         while (task := conn.recv()) is not None:
-            conn.send(_run_part(*task))
+            done, exc = _run_part(*task)
+            try:
+                conn.send((done, exc))
+            except Exception as err:  # send pickles it all before it writes: cut it
+                done = done[:len(_run_part(ForkingPickler.dumps, done)[0])]
+                conn.send((done, TypeError(f"fan-out reply does not pickle: {err}")))
 
 
 def _run_part(fn, items):

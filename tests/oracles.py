@@ -203,6 +203,12 @@ def in_integer_span(vectors, v, m):
     return minor_gcd(list(vectors) + [v], m, k) == minor_gcd(vectors, m, k)
 
 
+def form_gcd(f, columns):
+    """The gcd of the form f over the columns: f . v is a multiple of it for
+    every v they generate over Z."""
+    return gcd(*(sum(a * x for a, x in zip(f, col)) for col in columns))
+
+
 def gcd_int(a, b):
     a, b = abs(a), abs(b)
     while b:

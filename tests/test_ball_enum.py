@@ -266,7 +266,7 @@ def test_walk_without_tables_against_reference(monkeypatch, mode, bits):
             monkeypatch.setattr(ball_enum, "REACH_BITS", cap)
             L = from_congruences(CongruenceSystem((n,), (row[:m],)))
             f = one_row_form(n, row[:m])
-            g = degree_bounds._form_gcd(f, L)
+            g = oracles.form_gcd(f, L.columns)
             walk = shell_walker(L, mode)
             for d in range(7 if m < 6 else 6):
                 reference = reference_shell(L, d, mode)
@@ -392,27 +392,23 @@ def test_searches_prune_the_answer_shell(monkeypatch, search, limit):
 
 def test_pruned_answer_shell_yields_the_off_form_members():
     # Work gate on the sharp (53, 6) answer shell, radius 18, in the half
-    # the all-orthant searches walk: of its 8,458 members 36 are off the
-    # form f the searches hold there, the first of them member 8,418.  The
-    # pruned walk yields those 36 and one member of ker f, and bfieldr and
-    # successive_minima each pull one member from the shell, not 8,418.
+    # the all-orthant searches walk: bfieldr and successive_minima each walk
+    # shells 1..3 and then 18, holding the form f with g = 53 there, whose
+    # skip is ceil(53 / 3) = 18.  Of the shell's 8,458 members 36 are off f,
+    # the first of them member 8,418.  The pruned walk yields those 36 and
+    # one member of ker f, and each search pulls one member from the shell,
+    # not 8,418.
     L = sharp_lattice(53, 6)
     f = (-1, 1, -2, 2, -3, 3)
-    g = degree_bounds._form_gcd(f, L)
-    assert g == 53 and degree_bounds._off_form_radius(f, L) == 18
-    full = list(shell_walker(L, "half")(18))
-    got = list(shell_walker(L, "half")(18, (f, g)))
-    off = [v for v in full if sum(map(mul, f, v))]
-    assert len(full) == 8458 and len(off) == 36 and len(got) <= 37, (len(full), len(got))
-    assert [v for v in got if sum(map(mul, f, v))] == off
     for search in (degree_bounds.bfieldr, geomnum.successive_minima):
-        pulled = []
+        walks, pulled = [], []
 
         def counting(L, mode):
             walk = shell_walker(L, mode)
 
-            def counted(d, *form):
-                for v in walk(d, *form):
+            def counted(d, held=None):
+                walks.append((d, held and (tuple(held[0]), held[1])))
+                for v in walk(d, held):
                     pulled.append(d)
                     yield v
             return counted
@@ -420,7 +416,13 @@ def test_pruned_answer_shell_yields_the_off_form_members():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(degree_bounds, "shell_walker", counting)
             search(L)
+        assert walks == [(1, None), (2, None), (3, None), (18, (f, 53))], (search.__name__, walks)
         assert pulled.count(18) == 1, (search.__name__, pulled.count(18))
+    full = list(shell_walker(L, "half")(18))
+    got = list(shell_walker(L, "half")(18, (f, 53)))
+    off = [v for v in full if sum(map(mul, f, v))]
+    assert len(full) == 8458 and len(off) == 36 and len(got) <= 37, (len(full), len(got))
+    assert [v for v in got if sum(map(mul, f, v))] == off
 
 
 # the shells the pruned-walk property compares, by dimension: the reference
@@ -434,7 +436,9 @@ def test_pruned_walk_against_reference(data):
     # walk(d, (f, g)) drops only prefixes whose every completion has
     # |f . v| < g, and g divides f . v on L: so it yields every member off
     # ker f that the reference shell holds, in its order, and nothing else
-    # but members of that shell, also in its order.  One- and two-row
+    # but members of that shell, also in its order; for m >= 3, nothing at
+    # all on a shell below ceil(g / max |f_i|), which the searches skip,
+    # since its first coordinate drops every prefix.  One- and two-row
     # systems and bare bases, m 1..6, every mode; f is random, a row of the
     # system (residues centred on 0, as the sharp forms are), or the
     # primitive form vanishing on m - 1 columns of L, which a search holds
@@ -468,9 +472,13 @@ def test_pruned_walk_against_reference(data):
     assume(any(f))
     c = gcd(*f)
     f = tuple(x // c for x in f)
-    g = degree_bounds._form_gcd(f, L)
+    g = oracles.form_gcd(f, L.columns)
+    skip = -(-g // max(map(abs, f)))
     for mode in LATTICE_MODES:
         walk = shell_walker(L, mode)
+        if m >= 3:
+            for d in range(skip):
+                assert not list(walk(d, (f, g))), (L, f, mode, d)
         for d in range(PRUNE_RADII[m] + 1):
             reference = reference_shell(L, d, mode)
             got = list(walk(d, (f, g)))

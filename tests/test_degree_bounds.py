@@ -2,11 +2,13 @@ import json
 import random
 from functools import partial
 from itertools import islice
+from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invlat import degree_bounds, lattice_core
+from invlat import ball_enum, degree_bounds, lattice_core
 from invlat.ball_enum import shell_points, shell_walker
 from invlat.constructions import SharpCaseSpec, sharp_case_lattice
 from invlat.degree_bounds import (
@@ -464,8 +466,9 @@ class TestSingleRowSearches:
 
 def record_form_tests(monkeypatch):
     """Spy on the two membership tests of a generation search.  Returns the
-    event list: ("form", f or None) per _saturated_form call and ("reduce",
-    rank) per triangular_reduce, rank the accumulator's (None on L)."""
+    event list: ("form", (f, g) or None) per _saturated_form call and
+    ("reduce", rank) per triangular_reduce, rank the accumulator's (None on
+    L)."""
     events = []
     saturated_form, reduce = degree_bounds._saturated_form, lattice_core.triangular_reduce
 
@@ -497,10 +500,12 @@ def saturated_reference(acc, L):
 
 
 def assert_form_agrees(got, acc, L):
-    """got, what _saturated_form returned on acc, against the reference."""
+    """got, what _saturated_form returned on acc, against the reference: the
+    pair (f, g), g the gcd of f over L, or None."""
     f, saturated = saturated_reference(acc, L)
     if saturated:
-        assert got is not None and tuple(got) in (f, tuple(-x for x in f)), (L, got, f)
+        assert got is not None and tuple(got[0]) in (f, tuple(-x for x in f)), (L, got, f)
+        assert got[1] == oracles.form_gcd(f, L.columns), (L, got, f)
     else:
         assert got is None, (L, got, f)
 
@@ -620,29 +625,37 @@ class TestSaturatedForm:
         (UNSATURATED_ROWS[0], [1, 0]),
     ], ids=str)
     def test_form_gcd_once_per_tried_form(self, monkeypatch, system, taken):
-        # work gate: g, the gcd of f over L, is computed once per form, by
-        # the saturation test, and a taken form carries it to the off-form
-        # radius and the walk's prune (it was computed again for each and
+        # work gate: g, the gcd of f over L, is computed once per tried form,
+        # by the saturation test, and a taken form carries it in its pair to
+        # the skip and the walk's prune (it was computed again for each and
         # again per shell while f was held)
         L = from_congruences(system)
         reference = [generation_outcome(slow, L, None) for _, slow in self.REFERENCES]
-        form_gcd, calls = degree_bounds._form_gcd, []
+        saturated_form, tried, calls = degree_bounds._saturated_form, [], []
 
-        def counted(f, L):
-            calls.append(tuple(f))
-            return form_gcd(f, L)
+        def form(acc, L):
+            tried.append(saturated_reference(acc, L)[0])
+            return saturated_form(acc, L)
 
-        monkeypatch.setattr(degree_bounds, "_form_gcd", counted)
+        def counted(*args):
+            calls.append(args)
+            return gcd(*args)
+
+        monkeypatch.setattr(degree_bounds, "_saturated_form", form)
+        for module in (degree_bounds, ball_enum):
+            monkeypatch.setattr(module, "gcd", counted)
         events = record_form_tests(monkeypatch)
         got = []
         for (fast, _), ref in zip(self.REFERENCES, reference):
+            tried.clear()
             calls.clear()
             events.clear()
             assert generation_outcome(fast, L, None) == ref
-            forms = [e[1] for e in events if e[0] == "form"]
-            assert len(calls) == len(forms), (calls, forms)
-            assert {tuple(f) for f in forms if f} <= set(calls)
-            got.append(sum(f is not None for f in forms))
+            for f in tried:
+                values = tuple(sum(map(mul, f, col)) for col in L.columns)
+                negated = tuple(-x for x in values)
+                assert sum(args in (values, negated) for args in calls) == 1, (f, calls)
+            got.append(sum(e[1] is not None for e in events if e[0] == "form"))
         assert got == taken
 
 

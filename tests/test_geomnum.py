@@ -178,25 +178,25 @@ class TestSuccessiveMinima:
 def record_shells(mp):
     """Spy, through the MonkeyPatch mp, on the shells the searches walk and
     the radii they skip to.  Returns the event list: ("shell", d) per
-    walk(d) and ("skip", f, r) per _off_form_radius call."""
+    walk(d, held), after ("skip", f, r) when held is a pair (f, g) the walk
+    was not called with before, r = ceil(g / max |f_i|) its skip radius."""
     events = []
-    radius = degree_bounds._off_form_radius
 
     def walker(L, mode):
         walk = shell_walker(L, mode)
+        last = None
 
-        def walked(d, *form):
+        def walked(d, held=None):
+            nonlocal last
+            if held is not None and held is not last:
+                f, g = held
+                events.append(("skip", tuple(f), -(-g // max(map(abs, f)))))
+            last = held
             events.append(("shell", d))
-            return walk(d, *form)
+            return walk(d, held)
         return walked
 
-    def skip(f, L):
-        r = radius(f, L)
-        events.append(("skip", tuple(f), r))
-        return r
-
     mp.setattr(degree_bounds, "shell_walker", walker)
-    mp.setattr(degree_bounds, "_off_form_radius", skip)
     return events
 
 
@@ -220,8 +220,8 @@ SKIP_SYSTEMS = UNSATURATED_ROWS + [
 class TestOffFormSkip:
     """Once a generation search (bfield, bfieldr, and successive_minima,
     which reads bfieldr's walk) holds a saturated form f, a member v with
-    f . v != 0 has norm at least r = _off_form_radius(f, L), and the search
-    walks no shell below r."""
+    f . v != 0 has norm at least r = ceil(g / max |f_i|), g the gcd of f
+    over L, and the search walks no shell below r."""
 
     @pytest.mark.parametrize("spec, value", [
         (SharpCaseSpec(101, 4), 51), (SharpCaseSpec(31, 5, 1), 11), (SharpCaseSpec(23, 6), 8),

@@ -9,6 +9,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,16 @@ def interrupt_in_caller(parent):
     if os.getpid() == parent:
         raise KeyboardInterrupt
     return parent
+
+
+def lock_at_3(x):
+    return threading.Lock() if x == 3 else x
+
+
+def lock_raised_at_3(x):
+    if x == 3:
+        raise ValueError(threading.Lock())
+    return x
 
 
 unpicklable = lambda x: x  # noqa: E731 - pickled by name, a lambda has none
@@ -149,6 +160,20 @@ def test_unpicklable_task_leaves_no_stale_reply(monkeypatch, fn, items):
     assert parallel_map(cube_mod, range(9), 3) == [cube_mod(x) for x in range(9)]
 
 
+@pytest.mark.parametrize("fn", [lock_at_3, lock_raised_at_3])
+def test_unpicklable_reply_raises_in_the_caller(two_cpus, capfd, fn):
+    # item 3 is on the worker's part, and neither its result nor its
+    # exception pickles: the worker sends back a TypeError for it, which
+    # the caller raises, and lives on to serve the next call, printing
+    # nothing
+    parallel_map(pid_of, range(2), 2)
+    pool = workers()
+    with pytest.raises(TypeError, match="does not pickle"):
+        parallel_map(fn, range(8), 2)
+    assert parallel_map(pid_of, range(4), 2) == [os.getpid(), *pool] * 2
+    assert capfd.readouterr().err == ""
+
+
 def test_one_usable_cpu_runs_in_the_caller(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert parallel.usable_cpus() == 1
@@ -156,10 +181,11 @@ def test_one_usable_cpu_runs_in_the_caller(monkeypatch):
 
 
 def test_exit_after_fan_out_is_quiet():
-    # A module kept alive to the end of interpreter teardown, as a test
-    # runner keeps its modules, must not leave its pool to be collected after
-    # concurrent.futures.process is torn down: the pool's weakref callback
-    # would print "Exception ignored in: ... weakref_cb" to stderr.
+    # multiprocessing's exit hook joins every live child, and a worker waits
+    # for the message None: the exit hook of parallel, registered after it
+    # and so run before it, must send None first, or the join never ends.
+    # The module is kept alive to the end of interpreter teardown, as a test
+    # runner keeps its modules; the run ends with code 0 and a quiet stderr.
     script = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
               "from invlat import parallel; sys.kept = parallel; "
               "print(parallel.parallel_map(abs, range(-8, 0), 2))")
