@@ -344,11 +344,27 @@ class LatticeBasis:
 
     @classmethod
     def from_json(cls, text):
-        data = json.loads(text)
-        rebuilt = cls.from_generators(
-            [tuple(c) for c in data["columns"]], dimension=data["dimension"]
-        )
-        if rebuilt.index != data["index"]:
+        """The basis to_json wrote; malformed input raises a ValueError saying
+        what is wrong."""
+        try:
+            data = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as e:
+            raise ValueError(f"not valid JSON: {e}") from None
+        if not isinstance(data, dict) or set(data) != {"dimension", "columns", "index"}:
+            raise ValueError('expected an object with "dimension", "columns" and "index"')
+        m, columns, index = data["dimension"], data["columns"], data["index"]
+        if not _is_int(m) or m < 1:
+            raise ValueError(f"dimension {m!r} is not a positive integer")
+        if not _is_int(index):
+            raise ValueError(f"index {index!r} is not an integer")
+        if not isinstance(columns, list) or any(
+                not isinstance(c, list) or len(c) != m for c in columns):
+            raise ValueError(f"columns must be a list of lists of {m} integers")
+        for a in (a for c in columns for a in c):
+            if not _is_int(a):
+                raise ValueError(f"column entry {a!r} is not an integer")
+        rebuilt = cls.from_generators([tuple(c) for c in columns], dimension=m)
+        if rebuilt.index != index:
             raise ValueError("stored index does not match the column data")
         return rebuilt
 

@@ -787,12 +787,13 @@ class TestParserReuse:
 
 
 class TestPoolImport:
-    """The process pool module is loaded at the first fan-out only."""
+    """`multiprocessing` and `pickle`, which only the fan-out uses, are loaded at
+    the first fan-out only."""
 
     def test_no_pool_module_without_fan_out(self):
         script = ("import sys; from invlat.cli import main; rc = main(['construct', "
-                  "'dihedral:n=3']); print(sorted(m for m in ('concurrent.futures.process', "
-                  "'multiprocessing') if m in sys.modules)); sys.exit(rc)")
+                  "'dihedral:n=3']); print(sorted(m for m in ('multiprocessing', "
+                  "'pickle') if m in sys.modules)); sys.exit(rc)")
         proc = launch("-c", script)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == "n: 3\ndspan: 3\n[]\n"

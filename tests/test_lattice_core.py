@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -272,6 +273,22 @@ class TestLatticeBasis:
         L = from_congruences(sys_of(7, (1, 2)))
         again = LatticeBasis.from_json(L.to_json())
         assert again == L
+
+    @pytest.mark.parametrize("text, message", [
+        ("{bad", "not valid JSON"),
+        ("{}", 'expected an object with "dimension", "columns" and "index"'),
+        ('{"dimension": 2, "columns": [[1, 0], [0, 7]]}', "expected an object"),
+        ('{"dimension": true, "columns": [[1]], "index": 1}', "dimension True is not a positive"),
+        ('{"dimension": 2, "columns": [[1, 0], [0, 7]], "index": 7.0}', "index 7.0 is not an"),
+        ('{"dimension": 2, "columns": 5, "index": 7}', "columns must be a list of lists of 2"),
+        ('{"dimension": 2, "columns": [[1, 0], [0]], "index": 7}', "columns must be a list"),
+        ('{"dimension": 2, "columns": [[true, 0], [0, 7]], "index": 7}', "entry True is not an"),
+        ('{"dimension": 2, "columns": [[1.5, 0], [0, 7]], "index": 7}', "entry 1.5 is not an"),
+        ('{"dimension": 2, "columns": [[1, 0], [0, 7]], "index": 8}', "stored index does not"),
+    ])
+    def test_from_json_rejects_malformed_input(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LatticeBasis.from_json(text)
 
 
 class TestTrivialDuplicate:

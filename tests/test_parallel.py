@@ -1,8 +1,9 @@
 """The forked workers behind parallel_map: the caller runs part 0 itself,
 the workers are forked once per process and reused, dropped when one dies or
 a call is cut short, and never started when the process may use one CPU
-only."""
+only.  A call on which any part fails runs the serial loop in the caller."""
 
+import functools
 import multiprocessing
 import os
 import pickle
@@ -13,6 +14,7 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invlat import parallel
 from invlat.parallel import parallel_map
@@ -56,6 +58,29 @@ def lock_raised_at_3(x):
     if x == 3:
         raise ValueError(threading.Lock())
     return x
+
+
+class TwoArgs(Exception):
+    """Pickles as TwoArgs(item) by its args, which does not unpickle."""
+
+    def __init__(self, item, why):
+        super().__init__(item)
+
+
+def two_args_raised_at_3(x):
+    if x == 3:
+        raise TwoArgs(x, "raised")
+    return x
+
+
+def two_args_at_3(x):
+    return TwoArgs(x, "returned") if x == 3 else x
+
+
+def fail_on(failing, x):
+    if x in failing:
+        raise ValueError(x)
+    return x * x
 
 
 unpicklable = lambda x: x  # noqa: E731 - pickled by name, a lambda has none
@@ -160,18 +185,60 @@ def test_unpicklable_task_leaves_no_stale_reply(monkeypatch, fn, items):
     assert parallel_map(cube_mod, range(9), 3) == [cube_mod(x) for x in range(9)]
 
 
-@pytest.mark.parametrize("fn", [lock_at_3, lock_raised_at_3])
-def test_unpicklable_reply_raises_in_the_caller(two_cpus, capfd, fn):
+def test_unpicklable_reply_runs_the_serial_loop(two_cpus, capfd):
     # item 3 is on the worker's part, and neither its result nor its
-    # exception pickles: the worker sends back a TypeError for it, which
-    # the caller raises, and lives on to serve the next call, printing
-    # nothing
+    # exception pickles: the worker sends None for the part, the caller runs
+    # the serial loop, and the worker lives on to serve the next call,
+    # printing nothing
     parallel_map(pid_of, range(2), 2)
     pool = workers()
-    with pytest.raises(TypeError, match="does not pickle"):
-        parallel_map(fn, range(8), 2)
+    done = parallel_map(lock_at_3, range(8), 2)
+    assert done[:3] + done[4:] == [0, 1, 2, 4, 5, 6, 7]
+    assert type(done[3]) is type(lock_at_3(3))
+    with pytest.raises(ValueError) as err:
+        parallel_map(lock_raised_at_3, range(8), 2)
+    assert type(err.value.args[0]) is type(threading.Lock())
     assert parallel_map(pid_of, range(4), 2) == [os.getpid(), *pool] * 2
     assert capfd.readouterr().err == ""
+
+
+def test_reply_that_does_not_unpickle_runs_the_serial_loop(two_cpus, capfd):
+    # item 3's result or exception pickles as TwoArgs(3), which the caller
+    # could not unpickle: the call returns or raises what the serial loop
+    # does, and the worker lives on, printing nothing
+    parallel_map(pid_of, range(2), 2)
+    pool = workers()
+    with pytest.raises(TwoArgs) as err:
+        parallel_map(two_args_raised_at_3, range(8), 2)
+    assert err.value.args == (3,)
+    done = parallel_map(two_args_at_3, range(8), 2)
+    assert done[:3] + done[4:] == [0, 1, 2, 4, 5, 6, 7]
+    assert (type(done[3]), done[3].args) == (TwoArgs, (3,))
+    assert parallel_map(pid_of, range(4), 2) == [os.getpid(), *pool] * 2
+    assert capfd.readouterr().err == ""
+
+
+def outcome(call):
+    """What call() returns, or the type and args of what it raises."""
+    try:
+        return "returned", call()
+    except Exception as exc:
+        return "raised", type(exc), exc.args
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(0, 12), failing=st.frozensets(st.integers(0, 11)), jobs=st.integers(1, 3))
+def test_fan_out_matches_the_serial_loop(n, failing, jobs):
+    # three CPUs: never more than two workers; a failing call and a clean one
+    # both keep the workers the first of them forked
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        pool = None
+        for fn in (functools.partial(fail_on, failing), functools.partial(fail_on, frozenset())):
+            serial = outcome(lambda: [fn(x) for x in range(n)])
+            assert outcome(lambda: parallel_map(fn, range(n), jobs)) == serial
+            pool = workers() if pool is None else pool
+        assert workers() == pool
 
 
 def test_one_usable_cpu_runs_in_the_caller(monkeypatch):
