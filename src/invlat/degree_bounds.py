@@ -64,8 +64,9 @@ class DegreeBoundReport:
 
     witnesses is a dict {coset label: minimal nonnegative representative}
     for dspan and a tuple of generating vectors for bfield/bfieldr.  Labels
-    are those of L.presentation: CongruenceSystem.label when the lattice
-    came from a system, the residues of N B^-1 v mod N on a bare basis.
+    are those of L.presentation: the residues of CongruenceSystem.label
+    when the lattice came from a system, of N B^-1 v mod N on a bare basis;
+    with one modulus the label is the int residue k, else a residue tuple.
     """
 
     which: str
@@ -75,16 +76,13 @@ class DegreeBoundReport:
     search_cap: int
 
     def to_jsonable(self):
-        """Dict for json.dumps.  dspan's witnesses are the report's own
-        vector tuples, keyed by the residue k (an int) for a one-modulus
-        label (k,) and by the comma-joined residues otherwise; json.dumps
-        writes k as its digits and a tuple as a list, so the text is that
-        of str keys and lists, and nothing is copied per coset."""
-        if self.which == "dspan":
-            wit = {(key[0] if len(key) == 1 else ",".join(map(str, key))): vec
-                   for key, vec in self.witnesses.items()}
-        else:
-            wit = [list(v) for v in self.witnesses]
+        """Dict for json.dumps, holding the report's own witnesses: json.dumps
+        writes an int label as its digits and a vector tuple as a list.  Only
+        a dspan report keyed by residue tuples, which no JSON object takes,
+        gets a new dict, keyed by the comma-joined residues."""
+        wit = self.witnesses
+        if self.which == "dspan" and type(next(iter(wit))) is tuple:
+            wit = {",".join(map(str, key)): vec for key, vec in wit.items()}
         return {
             "which": self.which,
             "value": self.value,
@@ -112,8 +110,8 @@ def dspan(L, cap=None) -> DegreeBoundReport:
     smaller, plus e_i, would undercut v), so it is some w(k).  Each layer is
     held in witness order, which is shell-then-lexicographic order.
 
-    One loop serves every presentation, keying the witnesses by label tuple,
-    (k,) for one modulus.
+    One loop serves every presentation, keying the witnesses by the int
+    label for one modulus and by the residue tuple otherwise.
     """
     if cap is None:
         cap = L.index - 1
@@ -136,19 +134,18 @@ def _label_bfs(presentation, index, cap):
     prefix in order, makes the candidates in ascending lex order.  The
     first candidate to reach a coset is its witness, so none is compared
     or sorted, and a witness w makes first(w) + 1 steps, not m.
-    Nothing here depends on the form of a label: with one modulus n it is
-    the integer k = row . v mod n, keyed (k,); otherwise the tuple of
-    residues, one per modulus.
+    Nothing here depends on the form of a label: the integer row . v mod n
+    with one modulus n, else the tuple of residues, one per modulus.
     """
     rows, moduli = presentation
     one = len(moduli) == 1
     steps = rows[0] if one else list(zip(*rows))
     n = moduli[0] if one else None
     m = len(steps)
-    zero, key = (0,) * m, (0,) * len(moduli)
-    seen = {key: zero}
+    zero, k = (0,) * m, 0 if one else (0,) * len(moduli)
+    seen = {k: zero}
     # ends[i] counts the witnesses of the layer with first(w) >= i
-    layer, ends = [(0 if one else key, zero)], [1] * m
+    layer, ends = [(k, zero)], [1] * m
     d = 0
     while len(seen) < index and d < cap:
         reached, reached_ends = [], [0] * m
@@ -157,12 +154,11 @@ def _label_bfs(presentation, index, cap):
             for k, w in islice(layer, ends[i]):
                 if one:
                     k = (k + c) % n
-                    key = (k,)
                 else:
-                    k = key = tuple([(a + s) % q for a, s, q in zip(k, c, moduli)])
-                if key not in seen:
+                    k = tuple([(a + s) % q for a, s, q in zip(k, c, moduli)])
+                if k not in seen:
                     v = w[:i] + (w[i] + 1,) + w[i + 1:]
-                    seen[key] = v
+                    seen[k] = v
                     reached.append((k, v))
             reached_ends[i] = len(reached)
         layer, ends = reached, reached_ends

@@ -290,7 +290,9 @@ def hrd_verify(n, jobs=1) -> HrdReport:
 
 def bite_check(L, samples=50, seed=0):
     """Spot-check the weight bite: a in L with wt(a) > 0 and b >= a force
-    c = b - a nonnegative, congruent to b, with wt(b) > l1norm(c)."""
+    c = b - a nonnegative, congruent to b, with wt(b) > l1norm(c).  It never
+    returns False: c is the drawn nonnegative offset, b - c = a is in L, and
+    wt(b) = wt(a) + l1norm(c) with wt(a) > 0, so each test holds by construction."""
     rng = random.Random(seed)
     m = L.dimension
     checked = 0

@@ -503,11 +503,12 @@ def dicyclic_label_walk(n, radius):
 
 def dspan_jsonable_reference(report):
     """DegreeBoundReport.to_jsonable of a dspan report as first written: each
-    label tuple becomes its comma-joined residues and each witness a list."""
+    label tuple becomes its comma-joined residues, an int label stays itself,
+    and each witness becomes a list."""
     return {
         "which": report.which,
         "value": report.value,
-        "witnesses": {",".join(map(str, key)): list(vec)
+        "witnesses": {(key if type(key) is int else ",".join(map(str, key))): list(vec)
                       for key, vec in report.witnesses.items()},
         "index": report.index,
         "search_cap": report.search_cap,

@@ -416,6 +416,16 @@ class TestDeterminantForm:
         with pytest.raises(DependentInputError):
             determinant_form([(1, 1, 0), (2, 2, 0)])
 
+    @pytest.mark.parametrize("vectors, dimension, message", [
+        ([], None, "need the dimension for an empty vector list"),
+        ([(1, 0)], 3, "expected m - 1 vectors of length m"),
+    ])
+    def test_rejects_shape(self, vectors, dimension, message):
+        with pytest.raises(ValueError) as exc:
+            determinant_form(vectors, dimension)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == message
+
     @settings(max_examples=400, deadline=None)
     @given(st.data())
     def test_matches_laplace_expansion(self, data):
@@ -901,3 +911,11 @@ class TestDualPairLift:
             dual_pair_lift(kernel(5, (1, 2)), [(0, 1)], [(1, 2)])  # pair sum not in L
         with pytest.raises(ValueError):
             dual_pair_lift(L, [(0, 1)], [(1, 1)])  # does not generate
+
+    def test_rejects_vector_outside_lattice(self):
+        L = kernel(5, (1, 4))
+        assert (1, 0) not in L
+        with pytest.raises(ValueError) as exc:
+            dual_pair_lift(L, [(0, 1)], [(1, 1), (1, 0)])
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "vectors to lift must lie in the lattice"

@@ -172,11 +172,29 @@ class TestCongruenceSystem:
         with pytest.raises(InvalidSystemError):
             CongruenceSystem((1,), ((0,),))  # modulus < 2
 
+    @pytest.mark.parametrize("moduli, coefficients, message", [
+        ([4], ((1, 3),), "moduli and coefficients must be tuples"),
+        ((4,), [(1, 3)], "moduli and coefficients must be tuples"),
+        ((4,), ((),), "empty coefficient rows are not allowed"),
+        ((4, 3), ((1, 3), ()), "empty coefficient rows are not allowed"),
+        ((4, 3), ((1, 3), (1,)), "coefficient rows must be tuples of equal length"),
+        ((4, 3), ((1, 3), [1, 2]), "coefficient rows must be tuples of equal length"),
+    ])
+    def test_rejects_shape(self, moduli, coefficients, message):
+        with pytest.raises(InvalidSystemError) as exc:
+            CongruenceSystem(moduli, coefficients)
+        assert str(exc.value) == message
+
     def test_label(self):
         s = sys_of(4, (1, 3))
         assert s.label((0, 1)) == (3,)
         assert s.label((1, 1)) == (0,)
         assert s.label((-1, 0)) == (3,)
+        for v in ((1,), (0, 1, 0)):
+            with pytest.raises(ValueError) as exc:
+                s.label(v)
+            assert type(exc.value) is ValueError
+            assert str(exc.value) == "vector length does not match the system"
 
     def test_json_roundtrip(self):
         s = CongruenceSystem((4, 6), ((1, 3), (2, 5)))
@@ -263,6 +281,12 @@ class TestLatticeBasis:
     def test_from_generators_rejects_wrong_length_zero_vector(self):
         with pytest.raises(ValueError):
             LatticeBasis.from_generators([(1, 0), (0, 0, 0), (0, 2)])
+
+    def test_from_generators_needs_a_dimension_for_no_generators(self):
+        with pytest.raises(ValueError) as exc:
+            LatticeBasis.from_generators([])
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "cannot infer dimension from an empty generator list"
 
     def test_identity(self):
         E = LatticeBasis.identity(3)
