@@ -127,7 +127,8 @@ class GeneratedLattice:
     pivots, and grows by echelon_add.  rank is the rank over Q of everything
     added, and the product of the pivots is the index once the rank is full.
     Used for incremental generation and independence tests in shell
-    searches, and under hnf_columns, integer_kernel and is_generating.
+    searches, under hnf_columns, integer_kernel and is_generating, and as the
+    column holder of a one-row from_congruences.
     """
 
     def __init__(self, dimension):
@@ -372,12 +373,36 @@ class LatticeBasis:
 def from_congruences(system) -> LatticeBasis:
     """Kernel lattice {a : A a = 0 mod n, row by row} of a congruence system.
 
-    Solved exactly: (a, k) with A a + diag(n) k = 0 over Z is an integer
-    kernel computation, and projecting to the a-block generates the lattice.
-    The index always equals the order of the subgroup the coefficient columns
-    generate inside the direct sum of the Z_{n_i}.
+    One row c mod n has its Hermite columns in closed form.  Let h_m = n and
+    h_j = gcd(h_{j+1}, c_j), so h_j = gcd(n, c_j..c_{m-1}).  The later rows
+    reach exactly the multiples of h_{j+1} mod n, so a_j starts a member that
+    is zero above row j iff h_{j+1} divides c_j a_j: the pivot of row j is
+    d_j = h_{j+1} / h_j, and the index is n / gcd(n, c).  For Bezout
+    coefficients u of the later rows, sum u_k c_k = h_{j+1} mod n, column j
+    is d_j e_j - t u with t = d_j c_j / h_{j+1}, reduced down the later
+    columns.  xgcd(h_{j+1}, c_j) = (h_j, a, b) then moves u to a u + b e_j,
+    kept mod n so that its entries stay below n.
+
+    A system of more rows is solved as an integer kernel: the solutions (a, k)
+    of A a + diag(n) k = 0 over Z, whose projection to the a-block generates
+    the lattice.  The index always equals the order of the subgroup the
+    coefficient columns generate inside the direct sum of the Z_{n_i}.
     """
     m, r = system.m, system.r
+    if r == 1:
+        (n,), (c,) = system.moduli, system.coefficients
+        acc = GeneratedLattice(m)
+        h, u = n, [0] * m
+        for j in range(m - 1, -1, -1):
+            g, a, b = xgcd(h, c[j])
+            d = h // g
+            t = d * c[j] // h
+            # rows at and above j are still None, so only later pivots reduce
+            acc.columns[j] = triangular_reduce(acc, [0] * j + [d] + [-t * x for x in u[j + 1:]])
+            if a != 1:
+                u = [a * x % n for x in u]
+            u[j], h = b % n, g
+        return LatticeBasis(m, tuple(acc.columns), n // h, (system.coefficients, system.moduli))
     rows = []
     for i in range(r):
         row = list(system.coefficients[i]) + [0] * r

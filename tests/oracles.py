@@ -15,7 +15,10 @@ rational coordinates, drives determinant_form and lattice membership; and
 dicyclic_label_walk, the points of one label on the dicyclic
 restriction kernel by a walk of every nonnegative point, drives
 shell_points; dspan_jsonable_reference, the json dict of a dspan report
-with a str key and a list built per coset, reads the report itself.
+with a str key and a list built per coset, reads the report itself; and
+congruence_lattice_reference, the kernel lattice of a congruence system
+built through the integer kernel for any number of rows, drives
+integer_kernel and hnf_columns.
 """
 
 from fractions import Fraction
@@ -513,3 +516,19 @@ def dspan_jsonable_reference(report):
         "index": report.index,
         "search_cap": report.search_cap,
     }
+
+
+def congruence_lattice_reference(system):
+    """from_congruences as invlat once solved every system, for any number of
+    rows: the integer kernel of [A | diag(n)], projected to the a-block and
+    put in Hermite form by hnf_columns, with the system as presentation."""
+    from invlat.lattice_core import LatticeBasis, hnf_columns, integer_kernel
+
+    m, r = system.m, system.r
+    rows = [list(row) + [n if k == i else 0 for k in range(r)]
+            for i, (n, row) in enumerate(zip(system.moduli, system.coefficients))]
+    cols, _ = hnf_columns([v[:m] for v in integer_kernel(rows, m + r)], m)
+    index = 1
+    for i, col in enumerate(cols):
+        index *= col[i]
+    return LatticeBasis(m, tuple(cols), index, (system.coefficients, system.moduli))

@@ -1,11 +1,13 @@
 import itertools
 import json
+import math
 import random
 import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from invlat import lattice_core
 from invlat.lattice_core import (
     AllColumnsRemovedError,
     CongruenceSystem,
@@ -313,6 +315,66 @@ class TestLatticeBasis:
     def test_from_json_rejects_malformed_input(self, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             LatticeBasis.from_json(text)
+
+
+@st.composite
+def one_row_systems(draw):
+    """A row c mod n with 2 <= n <= 10**18 and 1 <= m <= 12; the coefficients
+    include 0, n - 1 and multiples of a factor f of n."""
+    f = draw(st.integers(1, 64), label="factor")
+    n = draw(st.sampled_from((2, 10**18)) | st.integers(2, 60)
+             | st.integers(2, 10**18 // f).map(lambda k: f * k), label="n")
+    coefficient = (st.sampled_from((0, n - 1)) | st.integers(0, n - 1)
+                   | st.integers(0, n - 1).map(lambda x: f * x % n))
+    m = draw(st.integers(1, 12), label="m")
+    return sys_of(n, draw(st.lists(coefficient, min_size=m, max_size=m), label="row"))
+
+
+def assert_matches_kernel_route(system):
+    L, ref = from_congruences(system), oracles.congruence_lattice_reference(system)
+    assert (L.columns, L.index, L.presentation) == (ref.columns, ref.index, ref.presentation)
+    return L
+
+
+class TestOneRowClosedForm:
+    """A one-row system is built by the Bezout chain, not the integer kernel."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(one_row_systems())
+    def test_matches_kernel_route(self, system):
+        L = assert_matches_kernel_route(system)
+        n, row = system.moduli[0], system.coefficients[0]
+        assert L.index == n // math.gcd(n, *row)
+        assert all(type(col) is tuple for col in L.columns)
+
+    @pytest.mark.parametrize("n, row", [
+        (7, (3,)),
+        (5, (0,)),
+        (2, (1, 0, 1)),
+        (12, (0, 0, 0, 0)),
+        (10**18 + 9, (0, 10**18 + 8)
+         + tuple(random.Random(30).randrange(10**18 + 9) for _ in range(28))),
+    ], ids=["m=1", "m=1-zero", "n=2", "all-zero", "m=30-n=1e18+9"])
+    def test_pinned_cases(self, n, row):
+        L = assert_matches_kernel_route(sys_of(n, row))
+        assert L.index == n // math.gcd(n, *row)
+        if not any(row):
+            assert L == LatticeBasis.identity(len(row))
+
+    def test_one_row_makes_no_echelon_add(self, monkeypatch):
+        calls = []
+        real = lattice_core.echelon_add
+
+        def counting(acc, vec):
+            calls.append(tuple(vec))
+            return real(acc, vec)
+
+        monkeypatch.setattr(lattice_core, "echelon_add", counting)
+        from_congruences(sys_of(101, (1, 7, 33, 58, 90)))
+        from_congruences(sys_of(2**40, (2**39, 3 * 2**20, 0, 5)))
+        assert calls == []
+        from_congruences(CongruenceSystem((6, 4), ((1, 2), (3, 1))))
+        assert calls
 
 
 class TestTrivialDuplicate:
