@@ -399,7 +399,7 @@ def from_congruences(system) -> LatticeBasis:
             t = d * c[j] // h
             # rows at and above j are still None, so only later pivots reduce
             acc.columns[j] = triangular_reduce(acc, [0] * j + [d] + [-t * x for x in u[j + 1:]])
-            if a != 1:
+            if a != 1:  # xgcd(1, c) = (1, 1, 0): from h = 1 on, u stays
                 u = [a * x % n for x in u]
             u[j], h = b % n, g
         return LatticeBasis(m, tuple(acc.columns), n // h, (system.coefficients, system.moduli))
